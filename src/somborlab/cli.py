@@ -29,7 +29,7 @@ from .families import (
 )
 from .graph6 import from_graph6, to_dot, to_graph6
 from .graphs import Graph
-from .indices import IndexValue, sombor_coindex, sombor_index
+from .indices import sombor_coindex, sombor_index
 
 CAP_ENV = "SOMBORLAB_CAP"
 
@@ -50,10 +50,6 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 
 def _fmt_float(x: float) -> str:
     return f"{x:.10g}"
-
-
-def _fmt_value(v: IndexValue) -> str:
-    return f"{v.exact} ≈ {_fmt_float(v.approx)}"
 
 
 def _value_json(exact) -> dict:
@@ -85,7 +81,7 @@ def _resolve_graph(args) -> tuple[str, Graph]:
     sources = [
         args.family is not None,
         args.recipe is not None,
-        getattr(args, "g6", None) is not None,
+        args.g6 is not None,
         args.random_recipe is not None,
     ]
     if sum(sources) != 1:
@@ -100,7 +96,7 @@ def _resolve_graph(args) -> tuple[str, Graph]:
     if args.recipe is not None:
         recipe = TwoTreeRecipe.parse(args.recipe)
         return f"recipe[{recipe}]", from_recipe(recipe)
-    if getattr(args, "g6", None) is not None:
+    if args.g6 is not None:
         return args.g6, from_graph6(args.g6)
     rng = random.Random(args.seed)
     recipe = random_recipe(args.random_recipe, rng)
@@ -130,8 +126,8 @@ def _cmd_index(args) -> int:
     so = sombor_index(g)
     so_bar = sombor_coindex(g)
     lines = [
-        f"SO({label}) = {_fmt_value(so)}",
-        f"SO_bar({label}) = {_fmt_value(so_bar)}",
+        f"SO({label}) = {so}",
+        f"SO_bar({label}) = {so_bar}",
     ]
     _emit("".join(line + "\n" for line in lines), args.output)
     if args.json:
@@ -373,12 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="also write a JSON manifest (order, count, checksum)")
     p.set_defaults(func=_cmd_enumerate)
 
-    def graph_source(p, with_g6=True):
+    def graph_source(p):
         p.add_argument("--family", choices=("X", "L", "linear", "K"))
         p.add_argument("--n", type=_parse_orders, help="order for --family")
         p.add_argument("--recipe", help="comma-separated edge choices, e.g. 0,0,1")
-        if with_g6:
-            p.add_argument("--g6", help="graph6 string to evaluate")
+        p.add_argument("--g6", help="graph6 string of the graph")
         p.add_argument("--random-recipe", type=int, metavar="ORDER",
                        help="seeded random construction trace of this order")
         p.add_argument("--seed", type=int, default=0)
@@ -413,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_conjecture)
 
     p = sub.add_parser("export", help="serialize one graph as graph6 or DOT")
-    graph_source(p, with_g6=False)
+    graph_source(p)
     p.add_argument("--format", choices=("graph6", "dot"), default="graph6")
     p.set_defaults(func=_cmd_export)
 

@@ -3,7 +3,9 @@ extremal claims, plus evidence reports for the still-open extremes.
 
 All rankings use exact radical comparison: distinct two-trees can collide
 in double precision, so tie sets are decided symbolically and the float
-shadows appear only for human consumption.  A failed claim produces a
+shadows appear only for human consumption.  Graphs are grouped by exact
+value first; a ranking sorts only the distinct values, and the evidence
+reports take the minimum or maximum value without sorting.  A failed claim produces a
 structured diagnostic and a nonzero exit through the CLI, never a crash,
 and a run always completes every requested order first.
 """
@@ -66,22 +68,20 @@ class ExtremalReport:
         return all(c.passed for c in self.claim_checks)
 
 
-def _ranked_groups(level: EnumLevel, kind: str, direction: str) -> list[list[RankedEntry]]:
-    """Graphs grouped by exact value, groups in rank order.
+def _value_groups(level: EnumLevel, kind: str) -> dict[RadicalSum, list[RankedEntry]]:
+    """Graphs grouped by exact value, groups unordered.
 
     The normal form of a value is unique, so each group is one exact tie
     set; level keys arrive sorted, so each group lists its graphs by key.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     measure = sombor_index if kind == "so" else sombor_coindex
     groups: dict[RadicalSum, list[RankedEntry]] = {}
     for g, key in zip(level.graphs, level.keys):
         value = measure(g).exact
         groups.setdefault(value, []).append(RankedEntry(value, key.decode("ascii"), key))
-    return [groups[value] for value in sorted(groups, reverse=direction == "max")]
+    return groups
 
 
 def rank_by(
@@ -93,9 +93,12 @@ def rank_by(
     level: EnumLevel | None = None,
 ) -> ExtremalReport:
     """Complete exact ranking of all two-trees of order ``n``."""
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if level is None:
         level = enumerate_two_trees(n, cap=cap, workers=workers)
-    groups = _ranked_groups(level, kind, direction)
+    by_value = _value_groups(level, kind)
+    groups = [by_value[v] for v in sorted(by_value, reverse=direction == "max")]
     ranking = [entry for group in groups for entry in group]
     tie_sets = [[entry.graph6 for entry in group] for group in groups]
     return ExtremalReport(n, kind, direction, ranking, tie_sets)
@@ -235,8 +238,10 @@ def conjecture_report(
         n = level.order
         if n not in wanted:
             continue
-        min_so = rank_by(n, "so", "min", level=level).ranking[0]
-        max_co = rank_by(n, "so-bar", "max", level=level).ranking[0]
+        so_groups = _value_groups(level, "so")
+        co_groups = _value_groups(level, "so-bar")
+        min_so = so_groups[min(so_groups)][0]
+        max_co = co_groups[max(co_groups)][0]
         linear_key = canonical_key(linear_two_tree(n))
         conj_so = formulas.conjectured_min_so(n)
         conj_co_c = formulas.conjectured_max_coindex(n, "corrected")

@@ -2,8 +2,10 @@
 
 The index sums ``sqrt(d(u)^2 + d(v)^2)`` over edges; the coindex sums the
 same weight over non-adjacent pairs, with degrees always taken in the
-original graph (the complement is never materialized: the coindex of a
-two-tree is not an index of its complement).  All sums are exact
+original graph (the coindex of a two-tree is not an index of its
+complement).  Edges and non-edges partition the vertex pairs, so the
+coindex is the all-pairs total minus the index; the total needs only the
+degree histogram, and no pair walk happens anywhere.  All sums are exact
 :class:`~somborlab.radicals.RadicalSum` values.
 """
 
@@ -43,11 +45,13 @@ def _weight(a: int, b: int) -> RadicalSum:
     return sqrt_int(a * a + b * b)
 
 
-def _weighted_total(pairs: Counter) -> RadicalSum:
-    total = RadicalSum.zero()
-    for (da, db), count in sorted(pairs.items()):
-        total = total + count * edge_weight(da, db)
-    return total
+def _weighted_total(pairs: dict[tuple[int, int], int]) -> RadicalSum:
+    terms: dict[int, int] = {}
+    for (da, db), count in pairs.items():
+        if count:  # a degree held by one vertex pairs with itself 0 times
+            for s, c in edge_weight(da, db):
+                terms[s] = terms.get(s, 0) + count * c
+    return RadicalSum._unchecked(terms)
 
 
 def sombor_index(g: Graph) -> IndexValue:
@@ -60,20 +64,15 @@ def sombor_index(g: Graph) -> IndexValue:
 
 
 def sombor_coindex(g: Graph) -> IndexValue:
-    degs = g.degrees()
-    pairs = Counter()
-    for u, v in g.non_edges():
-        a, b = degs[u], degs[v]
-        pairs[(a, b) if a <= b else (b, a)] += 1
-    return IndexValue(_weighted_total(pairs))
+    return IndexValue(total_pair_sum(g).exact - sombor_index(g).exact)
 
 
 def total_pair_sum(g: Graph) -> IndexValue:
     """Weight summed over all vertex pairs; equals index + coindex exactly."""
-    degs = g.degrees()
-    pairs = Counter()
-    for u in range(g.order):
-        for v in range(u + 1, g.order):
-            a, b = degs[u], degs[v]
-            pairs[(a, b) if a <= b else (b, a)] += 1
+    hist = sorted(Counter(g.degrees()).items())
+    pairs = {}
+    for i, (a, ha) in enumerate(hist):
+        pairs[(a, a)] = ha * (ha - 1) // 2
+        for b, hb in hist[i + 1:]:
+            pairs[(a, b)] = ha * hb
     return IndexValue(_weighted_total(pairs))

@@ -1,16 +1,13 @@
-"""Exact arithmetic for nonnegative integer combinations of square roots.
+"""Exact arithmetic for integer combinations of square roots.
 
 Every value handled here has the form ``sum_s c_s * sqrt(s)`` where each
 radicand ``s`` is a squarefree positive integer and each coefficient ``c_s``
-is a nonnegative integer; radicand 1 carries the plain integer part.  Square
-roots of distinct squarefree integers are linearly independent over the
-rationals, so the term map is a unique normal form: two sums are equal as
-real numbers exactly when their term maps coincide.  Strict order between
-distinct values is decided by integer interval evaluation whose precision
-doubles until the intervals separate.
-
-Subtraction is deliberately not provided; keeping coefficients nonnegative
-makes the normal-form invariant trivial, and order queries never need it.
+is a nonzero integer of either sign; radicand 1 carries the plain integer
+part.  Square roots of distinct squarefree integers are linearly independent
+over the rationals, so the term map (with zero coefficients dropped) is a
+unique normal form: two sums are equal as real numbers exactly when their
+term maps coincide.  Strict order is the sign of the difference, decided by
+one integer estimate whose precision doubles until it clears its error bound.
 """
 
 from __future__ import annotations
@@ -37,8 +34,8 @@ def _squarefree_split(k: int) -> tuple[int, int]:
 class RadicalSum:
     """Immutable sum of integer multiples of square roots, in normal form.
 
-    Supports ``+`` with another :class:`RadicalSum` (or a nonnegative int),
-    ``*`` by a nonnegative int, exact rich comparisons, ``float()`` and a
+    Supports ``+`` and ``-`` with another :class:`RadicalSum` (or an int),
+    negation, ``*`` by an int, exact rich comparisons, ``float()`` and a
     stable text rendering with radicands ascending.
     """
 
@@ -50,14 +47,11 @@ class RadicalSum:
             for s, c in terms.items():
                 if s < 1:
                     raise ValueError(f"radicand must be positive, got {s}")
-                if c < 0:
-                    raise ValueError(f"coefficient must be nonnegative, got {c}")
                 if c == 0:
                     continue
-                m, sf = _squarefree_split(s)
-                if m != 1:
+                if _squarefree_split(s)[0] != 1:
                     raise ValueError(f"radicand {s} is not squarefree")
-                clean[sf] = clean.get(sf, 0) + c
+                clean[s] = c
         self._terms = clean
 
     @classmethod
@@ -73,8 +67,6 @@ class RadicalSum:
 
     @classmethod
     def integer(cls, c: int) -> "RadicalSum":
-        if c < 0:
-            raise ValueError(f"coefficient must be nonnegative, got {c}")
         return cls._unchecked({1: c} if c else {})
 
     @property
@@ -94,16 +86,24 @@ class RadicalSum:
             return NotImplemented
         merged = dict(self._terms)
         for s, c in other._terms.items():
-            merged[s] = merged.get(s, 0) + c
+            c += merged.get(s, 0)
+            if c:
+                merged[s] = c
+            else:
+                del merged[s]  # a cancelled term leaves the normal form
         return RadicalSum._unchecked(merged)
 
     __radd__ = __add__
 
+    def __neg__(self) -> "RadicalSum":
+        return RadicalSum._unchecked({s: -c for s, c in self._terms.items()})
+
+    def __sub__(self, other: "RadicalSum | int") -> "RadicalSum":
+        return self + -other
+
     def __mul__(self, m: int) -> "RadicalSum":
         if not isinstance(m, int):
             return NotImplemented
-        if m < 0:
-            raise ValueError(f"scale factor must be nonnegative, got {m}")
         if m == 0:
             return RadicalSum.zero()
         return RadicalSum._unchecked({s: c * m for s, c in self._terms.items()})
@@ -112,35 +112,28 @@ class RadicalSum:
 
     # -- comparisons -----------------------------------------------------
 
-    def _scaled_bounds(self, bits: int) -> tuple[int, int]:
-        # integer lo, hi with lo <= value * 2**bits <= hi
-        lo = hi = 0
-        shift = 2 * bits
-        for s, c in self._terms.items():
-            scaled = s << shift
-            r = math.isqrt(scaled)
-            lo += c * r
-            hi += c * (r if r * r == scaled else r + 1)
-        return lo, hi
-
     def compare(self, other: "RadicalSum") -> int:
-        """Exact three-way comparison: -1, 0 or 1.
+        """Exact three-way comparison: -1, 0 or 1, the sign of ``self - other``.
 
-        Equality falls out of the unique normal form; strict order is decided
-        by interval refinement, which must terminate because distinct sums
-        are distinct reals.
+        Equality falls out of the unique normal form.  Otherwise the integer
+        estimate ``sum c * isqrt(s * 4**bits)`` lies within ``sum |c|`` of
+        ``(self - other) * 2**bits``; the precision doubles until the
+        estimate clears that slack, which must happen because a nonzero
+        difference is a nonzero real.
         """
         if not isinstance(other, RadicalSum):
             raise TypeError(f"cannot compare RadicalSum with {type(other).__name__}")
-        if self._terms == other._terms:
+        diff = (self - other)._terms
+        if not diff:
             return 0
+        slack = sum(abs(c) for c in diff.values())
         bits = _START_BITS
         while bits <= _MAX_BITS:
-            alo, ahi = self._scaled_bounds(bits)
-            blo, bhi = other._scaled_bounds(bits)
-            if ahi < blo:
+            shift = 2 * bits
+            est = sum(c * math.isqrt(s << shift) for s, c in diff.items())
+            if est + slack < 0:
                 return -1
-            if bhi < alo:
+            if est - slack > 0:
                 return 1
             bits *= 2
         raise ArithmeticError(
@@ -185,13 +178,12 @@ class RadicalSum:
             return "0"
         parts = []
         for s, c in sorted(self._terms.items()):
-            if s == 1:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(f"sqrt({s})")
-            else:
-                parts.append(f"{c}*sqrt({s})")
-        return " + ".join(parts)
+            m = abs(c)
+            term = str(m) if s == 1 else f"sqrt({s})" if m == 1 else f"{m}*sqrt({s})"
+            parts.append(("- " if c < 0 else "+ ") + term)
+        text = " ".join(parts)
+        # "+ 10 + 3*sqrt(2)" -> "10 + 3*sqrt(2)"; "- 10 + ..." -> "-10 + ..."
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"RadicalSum({self._terms!r})"

@@ -5,6 +5,7 @@ Everything exact is compared symbolically at zero tolerance; floating
 checks carry the tolerance stated next to them.
 """
 
+import itertools
 import json
 import math
 import random
@@ -24,7 +25,8 @@ from somborlab.extremal import verify_theorems
 from somborlab.families import from_recipe, l_graph, random_recipe, x_graph
 from somborlab.graph6 import from_graph6, to_graph6
 from somborlab.graphs import are_isomorphic, canonical_key
-from somborlab.indices import sombor_coindex, sombor_index, total_pair_sum
+from somborlab.indices import edge_weight, sombor_coindex, sombor_index, total_pair_sum
+from somborlab.radicals import RadicalSum
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -87,16 +89,26 @@ def test_criterion_4_inequality_sweeps_and_anchors():
             "grids to 200 clean; anchors 1.8725 +/- 1e-4 and 1.40312 +/- 1e-5")
 
 
+def _pair_walk(g, pairs) -> RadicalSum:
+    degs = g.degrees()
+    return sum((edge_weight(degs[u], degs[v]) for u, v in pairs), RadicalSum.zero())
+
+
+def _check_partition(g) -> None:
+    # the coindex is computed as total - index; walk the pairs to check both
+    assert sombor_coindex(g).exact == _pair_walk(g, g.non_edges())
+    assert total_pair_sum(g).exact == _pair_walk(g, itertools.combinations(range(g.order), 2))
+
+
 def test_criterion_5_partition_identity():
     checked = 0
     for level in enumerate_levels(10):
         for g in level.graphs:
-            assert (sombor_index(g).exact + sombor_coindex(g).exact) == total_pair_sum(g).exact
+            _check_partition(g)
             checked += 1
     rng = random.Random(1729)
     for _ in range(200):
-        g = from_recipe(random_recipe(rng.randrange(12, 21), rng))
-        assert (sombor_index(g).exact + sombor_coindex(g).exact) == total_pair_sum(g).exact
+        _check_partition(from_recipe(random_recipe(rng.randrange(12, 21), rng)))
         checked += 1
     _report("5 partition identity", f"exact on {checked} graphs")
 

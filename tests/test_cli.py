@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import somborlab
 from somborlab.cli import run
 
 # Expected stdout for the commands shown in the README; the integration tests
@@ -16,6 +19,23 @@ INDEX_L5 = (
 ENUMERATE_5 = "DF{\nDL{\n"
 
 EXPORT_K2 = "A_\n"
+
+EXPORT_DF_DOT = """\
+graph "DF{" {
+  0 [label="0 (deg 2)"];
+  1 [label="1 (deg 2)"];
+  2 [label="2 (deg 2)"];
+  3 [label="3 (deg 4)"];
+  4 [label="4 (deg 4)"];
+  0 -- 3;
+  0 -- 4;
+  1 -- 3;
+  1 -- 4;
+  2 -- 3;
+  2 -- 4;
+  3 -- 4;
+}
+"""
 
 VERIFY_5_6 = """\
 n=5 so-max: PASS witness=DF{ value=4*sqrt(2) + 12*sqrt(5) ≈ 32.48966998
@@ -181,6 +201,13 @@ def test_export_dot(capsys):
     assert out.count(" -- ") == 7
 
 
+def test_export_from_g6(capsys):
+    assert run(["export", "--g6", "DF{", "--format", "dot"]) == 0
+    assert capsys.readouterr().out == EXPORT_DF_DOT
+    assert run(["export", "--g6", "DF{"]) == 0
+    assert capsys.readouterr().out == "DF{\n"
+
+
 def test_failed_claim_exits_one(capsys, monkeypatch):
     # misreport the closed form so one claim must fail
     from somborlab import extremal
@@ -232,10 +259,15 @@ def test_unseparated_comparison_exits_two(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the subprocess must import the same package this test imported
+    src = str(Path(somborlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "somborlab", "export", "--family", "K", "--n", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == EXPORT_K2

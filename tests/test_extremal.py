@@ -129,6 +129,24 @@ def test_conjecture_report_order_6_exhaustive():
     assert report.same_witness
 
 
+def test_conjecture_extremes_against_exact_bounds():
+    # exact differences that the float gaps cannot show: from order 6 on the
+    # maximum coindex attains the corrected bound with equality, and the
+    # minimum index sits exactly (2n - 11)*sqrt(2) above its conjectured bound;
+    # order 5 breaks both
+    for report in conjecture_report(range(5, 10)):
+        n = report.order
+        corrected = RadicalSum({1: 10 * n - 60, 2: 2 * n * n - 26 * n + 89,
+                                5: 4 * n - 20, 13: 2})
+        conjectured_so = RadicalSum({1: 20, 2: 6 * n - 33, 5: 4, 13: 2})
+        assert float(corrected) == pytest.approx(report.conjectured_coindex_corrected, abs=1e-9)
+        assert float(conjectured_so) == pytest.approx(report.conjectured_so, abs=1e-9)
+        excess = report.max_coindex.exact - corrected
+        assert excess == (RadicalSum({1: 10, 2: -7}) if n == 5 else 0)  # 10 - 7*sqrt(2)
+        so_gap = RadicalSum({1: -10, 2: 6}) if n == 5 else (2 * n - 11) * sqrt_int(2)
+        assert report.min_so.exact - conjectured_so == so_gap
+
+
 def test_conjecture_report_rejects_small_orders():
     with pytest.raises(ValueError):
         conjecture_report([4])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -52,11 +53,19 @@ def test_coindex_of_complete_graphs_is_zero():
         assert sombor_coindex(complete(n)).exact.is_zero()
 
 
+def _pair_walk(g, pairs) -> RadicalSum:
+    degs = g.degrees()
+    return sum((edge_weight(degs[u], degs[v]) for u, v in pairs), RadicalSum.zero())
+
+
 def test_partition_identity_exact():
+    # coindex is total - index by construction, so check both against pair walks
     rng = random.Random(40)
     for _ in range(60):
         g = from_recipe(random_recipe(rng.randrange(2, 16), rng))
-        assert (sombor_index(g).exact + sombor_coindex(g).exact) == total_pair_sum(g).exact
+        assert sombor_coindex(g).exact == _pair_walk(g, g.non_edges())
+        all_pairs = itertools.combinations(range(g.order), 2)
+        assert total_pair_sum(g).exact == _pair_walk(g, all_pairs)
 
 
 def test_indices_isomorphism_invariant():

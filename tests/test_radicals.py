@@ -49,18 +49,28 @@ def test_scaling():
     assert (4 * sqrt_int(13)).terms == {13: 4}
     assert (0 * (2 * sqrt_int(2) + sqrt_int(5))).is_zero()
     assert (3 * (2 * sqrt_int(2) + sqrt_int(5))).terms == {2: 6, 5: 3}
-    with pytest.raises(ValueError):
-        (-1) * sqrt_int(2)
+    assert ((-1) * sqrt_int(2)).terms == {2: -1}
+    assert (-2) * sqrt_int(2) == -(2 * sqrt_int(2))
+
+
+def test_subtraction_cancels_to_normal_form():
+    a = 3 * sqrt_int(7) + RadicalSum.integer(4)
+    assert (a - a).is_zero()
+    assert a - a == RadicalSum.zero() == 0
+    one = (sqrt_int(2) + 1) - sqrt_int(2)
+    assert one.terms == {1: 1}
+    assert one == 1 and hash(one) == hash(1)
+    assert (sqrt_int(2) - 3).terms == {1: -3, 2: 1}
+    assert -(sqrt_int(2) - 3) == RadicalSum({1: 3, 2: -1})
 
 
 def test_constructor_rejects_bad_terms():
     with pytest.raises(ValueError):
         RadicalSum({8: 1})  # not squarefree
     with pytest.raises(ValueError):
-        RadicalSum({2: -1})
-    with pytest.raises(ValueError):
         RadicalSum({0: 1})
     assert RadicalSum({2: 0}).is_zero()
+    assert RadicalSum({2: -1}).terms == {2: -1}
 
 
 def test_compare_equal_and_strict():
@@ -72,11 +82,9 @@ def test_compare_equal_and_strict():
     so_x5 = RadicalSum({2: 4, 5: 12})
     assert so_l5 < so_x5
     assert so_x5 > so_l5
-    # sqrt(2) vs sqrt(29) - sqrt(17): the latter is smaller, checked via
-    # the pair trick since subtraction stays out of the value domain
-    lhs = sqrt_int(2) + sqrt_int(17)
-    rhs = sqrt_int(29)
-    assert lhs > rhs
+    # sqrt(2) vs sqrt(29) - sqrt(17): the latter is smaller
+    assert sqrt_int(2) > sqrt_int(29) - sqrt_int(17)
+    assert sqrt_int(2) + sqrt_int(17) > sqrt_int(29)
 
 
 def test_compare_separates_close_values():
@@ -87,6 +95,12 @@ def test_compare_separates_close_values():
     b = RadicalSum.integer(140)
     assert a > b
     assert b < a
+    # Pell pairs: (1 + sqrt(2))^k = p + q*sqrt(2) with p^2 - 2q^2 = (-1)^k, so
+    # q*sqrt(2) - p = -(-1)^k / (p + q*sqrt(2)) is far below 2**-64 for large k
+    p, q = 1, 1
+    for k in range(1, 120):
+        assert (q * sqrt_int(2)).compare(RadicalSum.integer(p)) == (1 if k % 2 else -1)
+        p, q = p + 2 * q, p + q
 
 
 def test_float_evaluation():
@@ -102,6 +116,8 @@ def test_rendering_radicands_ascending():
     assert str(RadicalSum.zero()) == "0"
     assert str(sqrt_int(13)) == "sqrt(13)"
     assert str(RadicalSum.integer(7)) == "7"
+    assert str(RadicalSum({1: -10, 2: 1, 5: -4})) == "-10 + sqrt(2) - 4*sqrt(5)"
+    assert str(-sqrt_int(13)) == "-sqrt(13)"
 
 
 def test_addition_commutative_associative_random():
@@ -129,6 +145,23 @@ def test_compare_agrees_with_float_on_random_pairs():
         if c == 0:
             assert a.terms == b.terms
             assert abs(fa - fb) <= 1e-12 * max(1.0, abs(fa))
+        elif abs(fa - fb) > 1e-12 * max(1.0, abs(fa), abs(fb)):
+            assert c == (-1 if fa < fb else 1)
+
+
+def test_signed_compare_agrees_with_float_and_is_antisymmetric():
+    rng = random.Random(7)
+    pool = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 29, 34, 41, 58]
+    def rand_sum():
+        return RadicalSum({s: rng.randrange(-40, 41) for s in rng.sample(pool, rng.randrange(1, 5))})
+    for _ in range(5_000):
+        a, b = rand_sum(), rand_sum()
+        c = a.compare(b)
+        assert b.compare(a) == -c
+        assert (a - b).compare(RadicalSum.zero()) == c
+        fa, fb = float(a), float(b)
+        if c == 0:
+            assert a.terms == b.terms
         elif abs(fa - fb) > 1e-12 * max(1.0, abs(fa), abs(fb)):
             assert c == (-1 if fa < fb else 1)
 
