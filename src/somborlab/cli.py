@@ -217,7 +217,7 @@ def _cmd_check_lemmas(args) -> int:
     all_violations = []
     for sweep_id in formulas.SWEEP_IDS:
         xs, ys = formulas.sweep_grid(sweep_id, args.limit)
-        violations = formulas.lemma_sweep(sweep_id, xs, ys)
+        violations = formulas.lemma_sweep(sweep_id, args.limit)
         all_violations.extend(violations)
         lines.append(f"{sweep_id}: {len(violations)} violations "
                      f"(x {xs[0]}..{xs[-1]}, y {ys[0]}..{ys[-1]})")

@@ -1,12 +1,15 @@
 """Exhaustive enumeration of non-isomorphic two-trees, order by order.
 
 Levels are built breadth-first: every representative of order ``n - 1`` is
-grown through each of its edges, children are canonized, and duplicates are
-discarded by canonical key.  Stored representatives are the canonical forms
-themselves, so their graph6 encoding equals their key and two runs produce
-byte-identical levels.  Expansion is a pure function of the parent, which
-makes the worker split embarrassingly parallel; the deterministic sort-unique
-merge keeps the output independent of the worker count.
+grown through each of its edges, each child is canonized by one
+:func:`~somborlab.graphs.canonize_rows` call, and duplicates are discarded by
+canonical key.  Stored representatives are the canonical forms themselves, so
+their graph6 encoding equals their key and two runs produce byte-identical
+levels.  Expansion is a pure function of the parent, so one code path serves
+any worker count: parents are mapped in-process with one worker, or through a
+single process pool that lives for the whole run with more, and the
+deterministic sort-unique merge keeps the output independent of the worker
+count.
 
 A second, slower route (filter all labeled graphs with the right edge count)
 cross-validates the counts at small orders.
@@ -16,19 +19,11 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import (
-    CanonicalKey,
-    CapacityError,
-    Graph,
-    _canonical_columns,
-    _graph6_pack,
-    _rows_from_columns,
-    canonical_key,
-    is_two_tree,
-)
+from .graphs import CanonicalKey, CapacityError, Graph, canonical_key, canonize_rows, is_two_tree
 
 DEFAULT_CAP = 12
 ORACLE_CAP = 7
@@ -50,7 +45,7 @@ class EnumLevel:
         return hashlib.sha256(b"\n".join(self.keys)).hexdigest()
 
 
-def _expand_rows(parent_rows: tuple[int, ...]) -> list[tuple[CanonicalKey, tuple[int, ...]]]:
+def _expand_rows(parent_rows: list[int]) -> list[tuple[CanonicalKey, list[int]]]:
     """Children of one parent: (key, canonical rows) per edge, duplicates kept."""
     n = len(parent_rows)
     out = []
@@ -62,35 +57,23 @@ def _expand_rows(parent_rows: tuple[int, ...]) -> list[tuple[CanonicalKey, tuple
                 child = list(parent_rows) + [(1 << u) | (1 << v)]
                 child[u] |= 1 << n
                 child[v] |= 1 << n
-                cols = _canonical_columns(child, n + 1)
-                key = _graph6_pack(n + 1, cols)
-                out.append((key, tuple(_rows_from_columns(cols, n + 1))))
+                out.append(canonize_rows(child))
             row >>= 1
             v += 1
     return out
 
 
-def _next_level(level: EnumLevel, workers: int) -> EnumLevel:
-    parents = [tuple(g._rows) for g in level.graphs]
-    if workers > 1 and len(parents) > 1:
-        chunk = max(1, len(parents) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = pool.map(_expand_batch, _chunks(parents, chunk))
-            produced = [pair for batch in batches for pair in batch]
+def _next_level(level: EnumLevel, pool: ProcessPoolExecutor | None, workers: int) -> EnumLevel:
+    parents = [g._rows for g in level.graphs]
+    if pool is None:
+        children = map(_expand_rows, parents)
     else:
-        produced = [pair for rows in parents for pair in _expand_rows(rows)]
-    dedup = {key: rows for key, rows in produced}
+        chunk = max(1, len(parents) // (workers * 4))
+        children = pool.map(_expand_rows, parents, chunksize=chunk)
+    dedup = {key: rows for batch in children for key, rows in batch}
     keys = sorted(dedup)
-    graphs = tuple(Graph._from_rows(list(dedup[k])) for k in keys)
+    graphs = tuple(Graph._from_rows(dedup[k]) for k in keys)
     return EnumLevel(level.order + 1, graphs, tuple(keys))
-
-
-def _expand_batch(parents: list[tuple[int, ...]]) -> list[tuple[CanonicalKey, tuple[int, ...]]]:
-    return [pair for rows in parents for pair in _expand_rows(rows)]
-
-
-def _chunks(items: list, size: int) -> list[list]:
-    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 def _base_level() -> EnumLevel:
@@ -106,9 +89,10 @@ def enumerate_levels(max_order: int, cap: int = DEFAULT_CAP, workers: int = 1):
         raise ValueError(f"workers must be at least 1, got {workers}")
     level = _base_level()
     yield level
-    while level.order < max_order:
-        level = _next_level(level, workers)
-        yield level
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        while level.order < max_order:
+            level = _next_level(level, pool, workers)
+            yield level
 
 
 def enumerate_two_trees(n: int, cap: int = DEFAULT_CAP, workers: int = 1) -> EnumLevel:

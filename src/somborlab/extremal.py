@@ -19,7 +19,7 @@ from . import formulas
 from .enumeration import DEFAULT_CAP, EnumLevel, enumerate_levels, enumerate_two_trees
 from .families import l_graph, linear_two_tree, x_graph
 from .graph6 import from_graph6
-from .graphs import CanonicalKey, canonical_key
+from .graphs import CanonicalKey, CapacityError, canonical_key
 from .indices import sombor_coindex, sombor_index
 from .radicals import RadicalSum
 
@@ -177,6 +177,8 @@ def verify_theorems(
     wanted = sorted(set(orders))
     if not wanted:
         return []
+    if wanted[0] < 2:
+        raise CapacityError(f"order must be in 2..{cap} (configured cap), got {wanted[0]}")
     reports: list[ExtremalReport] = []
     for level in enumerate_levels(wanted[-1], cap=cap, workers=workers):
         if level.order not in wanted:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import MAX_ORDER
 from .radicals import RadicalSum, sqrt_int
@@ -181,19 +181,16 @@ def sweep_grid(sweep_id: str, limit: int = SWEEP_LIMIT) -> tuple[range, range]:
 
 def lemma_sweep(
     sweep_id: str,
-    xs: Iterable[float] | None = None,
-    ys: Iterable[float] | None = None,
+    limit: int = SWEEP_LIMIT,
     invert: bool = False,
 ) -> list[SweepViolation]:
-    """Grid-check one family of inequality claims; returns the violations.
+    """Grid-check one family of inequality claims on :func:`sweep_grid` at
+    ``limit``; returns the violations.
 
-    Omitted grids default to :func:`sweep_grid` at :data:`SWEEP_LIMIT`.
     ``invert=True`` negates every check and serves as the harness self-test:
     a sound sweep must then flag every check it performs.
     """
-    grid_xs, grid_ys = sweep_grid(sweep_id)
-    xs = sorted(grid_xs if xs is None else xs)
-    ys = sorted(grid_ys if ys is None else ys)
+    xs, ys = sweep_grid(sweep_id, limit)
 
     violations: list[SweepViolation] = []
 

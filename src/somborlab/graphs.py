@@ -324,10 +324,16 @@ def canonical_key(g: Graph) -> CanonicalKey:
     return _graph6_pack(g.order, _canonical_columns(g._rows, g.order))
 
 
+def canonize_rows(rows: list[int]) -> tuple[CanonicalKey, list[int]]:
+    """Canonical key and canonically relabeled adjacency rows of ``rows``."""
+    n = len(rows)
+    cols = _canonical_columns(rows, n)
+    return _graph6_pack(n, cols), _rows_from_columns(cols, n)
+
+
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of ``g`` (the graph the key encodes)."""
-    cols = _canonical_columns(g._rows, g.order)
-    return Graph._from_rows(_rows_from_columns(cols, g.order))
+    return Graph._from_rows(canonize_rows(g._rows)[1])
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

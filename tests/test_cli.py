@@ -229,6 +229,7 @@ def test_usage_and_capacity_exit_codes(capsys):
         ["enumerate", "--n", "5..6"],  # range not allowed here
         ["enumerate", "--n", "5", "--workers", "0"],
         ["verify-theorems", "--n", "5", "--workers", "-3"],
+        ["verify-theorems", "--n", "0..3"],  # orders below 2
         ["check-lemmas", "--limit", "2"],  # the coindex sweep starts at y = 3
         ["check-lemmas", "--limit", "1"],
         ["check-lemmas", "--limit", "0"],

@@ -1,5 +1,8 @@
+import multiprocessing
+
 import pytest
 
+from somborlab import enumeration
 from somborlab.enumeration import (
     count_two_trees,
     enumerate_levels,
@@ -51,6 +54,36 @@ def test_determinism_across_runs_and_workers():
     assert first.checksum() == second.checksum()
     parallel = enumerate_two_trees(7, workers=2)
     assert parallel.keys == first.keys
+
+
+def _count_pools(monkeypatch) -> list:
+    started = []
+
+    class CountingPool(enumeration.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def test_one_pool_per_run_and_none_with_one_worker(monkeypatch):
+    started = _count_pools(monkeypatch)
+    enumerate_two_trees(9, workers=2)
+    assert started == [2]
+    started.clear()
+    enumerate_two_trees(9, workers=1)
+    assert started == []
+
+
+def test_abandoned_pooled_run_leaves_no_workers():
+    levels = enumerate_levels(9, workers=2)
+    for level in levels:
+        if level.order == 7:
+            break
+    levels.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_capacity_errors():

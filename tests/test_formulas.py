@@ -84,13 +84,13 @@ def test_diag_step_anchor():
 
 
 def test_sweeps_clean_on_small_grids():
-    assert formulas.lemma_sweep("diag-drop-bound", range(2, 51), range(2, 51)) == []
-    assert formulas.lemma_sweep("gap-monotone", range(2, 51), range(1, 51)) == []
-    assert formulas.lemma_sweep("coindex-gain-monotone", range(1, 51), range(3, 51)) == []
+    assert formulas.lemma_sweep("diag-drop-bound", limit=50) == []
+    assert formulas.lemma_sweep("gap-monotone", limit=50) == []
+    assert formulas.lemma_sweep("coindex-gain-monotone", limit=50) == []
 
 
 def test_diag_sweep_equality_exactly_on_diagonal():
-    violations = formulas.lemma_sweep("diag-drop-bound", range(2, 101), range(2, 101))
+    violations = formulas.lemma_sweep("diag-drop-bound", limit=100)
     assert violations == []
     # strictness margin stays clearly positive even near the far corner
     assert math.sqrt(2) - formulas.diag_weight_drop(199, 200) > 1e-6

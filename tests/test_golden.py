@@ -3,7 +3,8 @@
 Each case runs one command in process, with every output file written under
 a temporary directory, and compares the sha256 of stdout and of each file
 with a pinned digest.  Any change to a byte of JSON, CSV, DOT or text output
-fails here.
+fails here.  The ``verify-theorems`` and ``conjecture --reading both`` cases
+also run with two workers, against the same digests.
 """
 
 import hashlib
@@ -87,9 +88,17 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_output(name, tmp_path, capsys):
+POOLED = ("verify-2..8", "conjecture-5..9-both")
+CASES = [pytest.param(name, 1, id=name) for name in sorted(GOLDEN)] + [
+    pytest.param(name, 2, id=f"{name}-workers-2") for name in POOLED
+]
+
+
+@pytest.mark.parametrize("name, workers", CASES)
+def test_golden_output(name, workers, tmp_path, capsys):
     argv, pins = GOLDEN[name]
+    if workers > 1:  # the other commands take no --workers
+        argv = argv + ["--workers", str(workers)]
     paths = {flag: tmp_path / flag.lstrip("-") for flag in pins if flag != "stdout"}
     for flag, path in paths.items():
         argv = argv + [flag, str(path)]
