@@ -1,7 +1,8 @@
 """Command-line surface tying the modules into reproducible runs.
 
 Exit codes: 0 when everything requested passed, 1 when a claim check or
-sweep reported a failure, 2 for any usage, input or capacity error.  Given
+sweep reported a failure, 2 for any usage, input or capacity error and for
+an internal error (the traceback goes to stderr).  Given
 the same arguments (and seed, where one applies) every run writes
 byte-identical output regardless of worker count.
 """
@@ -14,6 +15,7 @@ import json
 import os
 import random
 import sys
+import traceback
 
 from . import formulas
 from .enumeration import DEFAULT_CAP, enumerate_two_trees
@@ -424,6 +426,10 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:  # CapacityError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a defect, not a failed claim: keep exit 1 for claims
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,15 +1,31 @@
 """Exhaustive enumeration of non-isomorphic two-trees, order by order.
 
 Levels are built breadth-first: every representative of order ``n - 1`` is
-grown through each of its edges, each child is canonized by one
-:func:`~somborlab.graphs.canonize_rows` call, and duplicates are discarded by
-canonical key.  Stored representatives are the canonical forms themselves, so
-their graph6 encoding equals their key and two runs produce byte-identical
-levels.  Expansion is a pure function of the parent, so one code path serves
-any worker count: parents are mapped in-process with one worker, or through a
-single process pool that lives for the whole run with more, and the
-deterministic sort-unique merge keeps the output independent of the worker
-count.
+grown through each of its edges, giving a child whose new vertex ``w`` has
+degree 2.  Before any canonical search, each child is ranked by a cheap
+isomorphism invariant of its degree-2 vertices, the *ear rank* (the two
+neighbours' degrees, larger first, then their common-neighbour count).  A
+child is canonized by one :func:`~somborlab.graphs.canonize_rows` call only
+when no degree-2 vertex outranks ``w``; otherwise it is dropped, and the
+duplicates that remain are discarded by canonical key.  Stored
+representatives are the canonical forms themselves, so their graph6 encoding
+equals their key and two runs produce byte-identical levels.
+
+No isomorphism class is lost.  In a two-tree of order at least 3 every
+degree-2 vertex is removable: its neighbours are adjacent and deleting it
+leaves a two-tree.  Take a top-ranked degree-2 vertex ``v`` of a two-tree
+``C``.  Then ``C - v`` is isomorphic to some representative ``P`` of the
+previous level, and the child of ``P`` grown on the image of ``v``'s
+neighbour edge is isomorphic to ``C``, with ``v`` mapped to its new vertex.
+The rank is invariant, so that new vertex ranks top too and the child is
+kept.  This is the invariant-only first stage of McKay's canonical
+construction path (McKay, *Isomorph-free exhaustive generation*, 1998).
+
+Expansion, filter included, is a pure function of the parent, so one code
+path serves any worker count: parents are mapped in-process with one worker,
+or through a single process pool that lives for the whole run with more, and
+the deterministic sort-unique merge keeps the output independent of the
+worker count.
 
 A second, slower route (filter all labeled graphs with the right edge count)
 cross-validates the counts at small orders.
@@ -45,9 +61,31 @@ class EnumLevel:
         return hashlib.sha256(b"\n".join(self.keys)).hexdigest()
 
 
+def _ear_rank(rows: list[int], x: int) -> tuple[int, int, int]:
+    """Isomorphism-invariant rank of the degree-2 vertex ``x``.
+
+    The degrees of its two neighbours, larger first, then the number of
+    common neighbours they share.
+    """
+    nb = rows[x]
+    a = (nb & -nb).bit_length() - 1
+    b = nb.bit_length() - 1
+    da = rows[a].bit_count()
+    db = rows[b].bit_count()
+    if da < db:
+        da, db = db, da
+    return da, db, (rows[a] & rows[b]).bit_count()
+
+
 def _expand_rows(parent_rows: list[int]) -> list[tuple[CanonicalKey, list[int]]]:
-    """Children of one parent: (key, canonical rows) per edge, duplicates kept."""
+    """Canonized children of one parent whose new vertex has the top ear rank.
+
+    A child grown on an edge is kept only when no degree-2 vertex of the
+    child outranks the new vertex; duplicates among the kept are left to the
+    caller's merge.
+    """
     n = len(parent_rows)
+    ears = [x for x in range(n) if parent_rows[x].bit_count() == 2]
     out = []
     for u in range(n):
         row = parent_rows[u] >> (u + 1)
@@ -57,7 +95,10 @@ def _expand_rows(parent_rows: list[int]) -> list[tuple[CanonicalKey, list[int]]]
                 child = list(parent_rows) + [(1 << u) | (1 << v)]
                 child[u] |= 1 << n
                 child[v] |= 1 << n
-                out.append(canonize_rows(child))
+                top = _ear_rank(child, n)
+                # u and v now have degree 3; the parent's other ears keep degree 2
+                if all(_ear_rank(child, x) <= top for x in ears if x != u and x != v):
+                    out.append(canonize_rows(child))
             row >>= 1
             v += 1
     return out

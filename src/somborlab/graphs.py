@@ -195,12 +195,11 @@ def _color_ranks(values: list) -> list[int]:
 
 
 def _stable_colors(rows: list[int], n: int) -> list[int]:
-    colors = _color_ranks([rows[v].bit_count() for v in range(n)])
+    nbrs = [list(_bits(rows[v])) for v in range(n)]
+    colors = _color_ranks([len(nb) for nb in nbrs])
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in _bits(rows[v]))))
-            for v in range(n)
-        ]
+        color_of = colors.__getitem__
+        sigs = [(c, tuple(sorted(map(color_of, nb)))) for c, nb in zip(colors, nbrs)]
         new = _color_ranks(sigs)
         if new == colors:
             return colors

@@ -259,6 +259,17 @@ def test_unseparated_comparison_exits_two(capsys, monkeypatch):
     assert "error: interval refinement failed" in capsys.readouterr().err
 
 
+def test_internal_error_exits_two(capsys, monkeypatch):
+    # a defect (here a handler that raises) must not read as a failed claim
+    def broken(args):
+        raise RuntimeError("worker died")
+
+    monkeypatch.setattr("somborlab.cli._cmd_enumerate", broken)
+    assert run(["enumerate", "--n", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: internal error: RuntimeError: worker died\n")
+
+
 def test_module_entry_point():
     # the subprocess must import the same package this test imported
     src = str(Path(somborlab.__file__).resolve().parent.parent)

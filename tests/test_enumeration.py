@@ -1,6 +1,9 @@
 import multiprocessing
+from math import comb, factorial
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from somborlab import enumeration
 from somborlab.enumeration import (
@@ -10,7 +13,7 @@ from somborlab.enumeration import (
     oracle_filter_count,
 )
 from somborlab.families import l_graph, x_graph
-from somborlab.graphs import CapacityError, canonical_key, is_two_tree
+from somborlab.graphs import CapacityError, Graph, canonical_key, is_two_tree
 
 
 def test_level_counts_smallest_orders():
@@ -28,6 +31,61 @@ def test_order_5_level_is_exactly_the_two_named_graphs():
 def test_counts_agree_with_filter_oracle():
     for n in range(2, 7):
         assert count_two_trees(n) == oracle_filter_count(n)
+
+
+def _grow_every_child(graphs) -> dict:
+    """Reference step: canonize every child of every parent, dedup by key."""
+    grown = {}
+    for g in graphs:
+        n = g.order
+        for u, v in g.edges():
+            child = Graph.from_edges(n + 1, g.edges() + [(u, n), (v, n)])
+            grown[canonical_key(child)] = child
+    return grown
+
+
+def test_levels_agree_with_unfiltered_enumerator():
+    levels = enumerate_levels(9)
+    reference = next(levels).graphs
+    for level in levels:
+        grown = _grow_every_child(reference)
+        assert list(level.keys) == sorted(grown)
+        reference = grown.values()
+
+
+def test_most_children_are_dropped_before_canonizing(monkeypatch):
+    parents = enumerate_two_trees(9)
+    children = parents.count * (2 * 9 - 3)  # one child per parent edge
+    assert children == 2040
+    calls = 0
+    canonize = enumeration.canonize_rows
+
+    def counting(rows):
+        nonlocal calls
+        calls += 1
+        return canonize(rows)
+
+    monkeypatch.setattr(enumeration, "canonize_rows", counting)
+    level = enumeration._next_level(parents, None, 1)
+    assert 2 * calls < children
+    assert list(level.keys) == sorted(_grow_every_child(parents.graphs))
+
+
+def _automorphism_count(g: Graph) -> int:
+    h = nx.Graph(g.edges())
+    return sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+
+
+def test_labeled_count_certificate():
+    # sum of n!/|Aut(G)| over a level counts labeled two-trees, which number
+    # C(n, 2) * (2n - 3)^(n - 4): the level is complete and free of repeats
+    totals = {}
+    for level in enumerate_levels(9):
+        n = level.order
+        if n >= 4:
+            totals[n] = sum(factorial(n) // _automorphism_count(g) for g in level.graphs)
+            assert totals[n] == comb(n, 2) * (2 * n - 3) ** (n - 4)
+    assert list(totals.values()) == [6, 70, 1215, 27951, 799708, 27337500]
 
 
 def test_named_families_present_in_levels():
