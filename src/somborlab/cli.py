@@ -155,12 +155,14 @@ def _claim_line(check) -> str:
 
 
 def _ranking_json(report: ExtremalReport) -> dict:
+    ranking = []
+    for group in report.tie_sets:  # one value per tie set, rendered once
+        value = _value_json(report.ranking[len(ranking)].exact)
+        ranking.extend({"graph6": graph6, **value} for graph6 in group)
     return {
         "direction": report.direction,
         "count": len(report.ranking),
-        "ranking": [
-            {"graph6": e.graph6, **_value_json(e.exact)} for e in report.ranking
-        ],
+        "ranking": ranking,
         "tie_sets": report.tie_sets,
     }
 

@@ -1,13 +1,17 @@
 """Exact ranking of enumerated two-trees and verification of the four
 extremal claims, plus evidence reports for the still-open extremes.
 
-All rankings use exact radical comparison: distinct two-trees can collide
-in double precision, so tie sets are decided symbolically and the float
-shadows appear only for human consumption.  Graphs are grouped by exact
-value first; a ranking sorts only the distinct values, and the evidence
-reports take the minimum or maximum value without sorting.  A failed claim produces a
-structured diagnostic and a nonzero exit through the CLI, never a crash,
-and a run always completes every requested order first.
+All rankings are exact: distinct two-trees can collide in double precision,
+so tie sets are decided symbolically and the float shadows appear only for
+human consumption.  One pass over a level evaluates each graph once, taking
+the coindex as the histogram total minus the index, and groups the graphs by
+exact value in both directions; each group is one tie set.  Only the
+distinct values are ordered, by :func:`~somborlab.radicals.sort_values`'s
+certified fixed-point keys rather than pairwise exact comparisons, and the
+evidence reports take the ends of that order.  Bound verdicts are the sign
+of an exact gap.  A failed claim produces a structured diagnostic and a
+nonzero exit through the CLI, never a crash, and a run always completes
+every requested order first.
 """
 
 from __future__ import annotations
@@ -20,15 +24,11 @@ from .enumeration import DEFAULT_CAP, EnumLevel, enumerate_levels, enumerate_two
 from .families import l_graph, linear_two_tree, x_graph
 from .graph6 import from_graph6
 from .graphs import CanonicalKey, CapacityError, canonical_key
-from .indices import sombor_coindex, sombor_index
-from .radicals import RadicalSum
+from .indices import sombor_index, total_pair_sum
+from .radicals import RadicalSum, sort_values
 
 KINDS = ("so", "so-bar")
 DIRECTIONS = ("max", "min")
-
-# float-level slack for bound checks against the (irrational) conjectured
-# constants; everything observed is exact, only the verdict flag is fuzzy
-BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,33 @@ class ExtremalReport:
         return all(c.passed for c in self.claim_checks)
 
 
-def _value_groups(level: EnumLevel, kind: str) -> dict[RadicalSum, list[RankedEntry]]:
-    """Graphs grouped by exact value, groups unordered.
+Groups = dict[RadicalSum, list[RankedEntry]]
 
-    The normal form of a value is unique, so each group is one exact tie
-    set; level keys arrive sorted, so each group lists its graphs by key.
+
+def _value_groups(level: EnumLevel) -> tuple[Groups, Groups]:
+    """Graphs grouped by exact index and by exact coindex, groups unordered.
+
+    Each graph is evaluated once: its coindex is the all-pairs total minus
+    its index.  The normal form of a value is unique, so each group is one
+    exact tie set; level keys arrive sorted, so each group lists its graphs
+    by key.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    measure = sombor_index if kind == "so" else sombor_coindex
-    groups: dict[RadicalSum, list[RankedEntry]] = {}
+    so_groups: Groups = {}
+    co_groups: Groups = {}
     for g, key in zip(level.graphs, level.keys):
-        value = measure(g).exact
-        groups.setdefault(value, []).append(RankedEntry(value, key.decode("ascii"), key))
-    return groups
+        so = sombor_index(g).exact
+        co = total_pair_sum(g).exact - so
+        graph6 = key.decode("ascii")
+        so_groups.setdefault(so, []).append(RankedEntry(so, graph6, key))
+        co_groups.setdefault(co, []).append(RankedEntry(co, graph6, key))
+    return so_groups, co_groups
+
+
+def _report(n: int, kind: str, direction: str, by_value: Groups) -> ExtremalReport:
+    groups = [by_value[v] for v in sort_values(by_value, reverse=direction == "max")]
+    ranking = [entry for group in groups for entry in group]
+    tie_sets = [[entry.graph6 for entry in group] for group in groups]
+    return ExtremalReport(n, kind, direction, ranking, tie_sets)
 
 
 def rank_by(
@@ -93,15 +106,13 @@ def rank_by(
     level: EnumLevel | None = None,
 ) -> ExtremalReport:
     """Complete exact ranking of all two-trees of order ``n``."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if level is None:
         level = enumerate_two_trees(n, cap=cap, workers=workers)
-    by_value = _value_groups(level, kind)
-    groups = [by_value[v] for v in sorted(by_value, reverse=direction == "max")]
-    ranking = [entry for group in groups for entry in group]
-    tie_sets = [[entry.graph6 for entry in group] for group in groups]
-    return ExtremalReport(n, kind, direction, ranking, tie_sets)
+    return _report(n, kind, direction, _value_groups(level)[KINDS.index(kind)])
 
 
 def _claim(
@@ -183,8 +194,9 @@ def verify_theorems(
     for level in enumerate_levels(wanted[-1], cap=cap, workers=workers):
         if level.order not in wanted:
             continue
-        so_report = rank_by(level.order, "so", "max", level=level)
-        co_report = rank_by(level.order, "so-bar", "min", level=level)
+        so_groups, co_groups = _value_groups(level)
+        so_report = _report(level.order, "so", "max", so_groups)
+        co_report = _report(level.order, "so-bar", "min", co_groups)
         attach_claims(so_report, co_report)
         reports.extend((so_report, co_report))
     return reports
@@ -194,10 +206,12 @@ def verify_theorems(
 class ConjectureReport:
     """Observed extremes vs the conjectured bounds at one order.
 
-    Gaps are ``observed - conjectured``: the conjectured index lower bound
-    holds when its gap is >= 0, the conjectured coindex upper bound holds
-    when its gap is <= 0.  Nothing here asserts the bounds; orders where
-    they conflict with the exhaustive extremes are simply flagged.
+    Gaps are ``observed - conjectured`` in floats, for display.  The
+    verdicts are exact: the conjectured index lower bound holds when the
+    exact gap is >= 0, the conjectured coindex upper bound holds when it is
+    <= 0 (the corrected coindex gap is exactly 0 from order 6 on).  Nothing
+    here asserts the bounds; orders where they conflict with the exhaustive
+    extremes are simply flagged.
     """
 
     order: int
@@ -240,10 +254,9 @@ def conjecture_report(
         n = level.order
         if n not in wanted:
             continue
-        so_groups = _value_groups(level, "so")
-        co_groups = _value_groups(level, "so-bar")
-        min_so = so_groups[min(so_groups)][0]
-        max_co = co_groups[max(co_groups)][0]
+        so_groups, co_groups = _value_groups(level)
+        min_so = so_groups[sort_values(so_groups)[0]][0]
+        max_co = co_groups[sort_values(co_groups)[-1]][0]
         linear_key = canonical_key(linear_two_tree(n))
         conj_so = formulas.conjectured_min_so(n)
         conj_co_c = formulas.conjectured_max_coindex(n, "corrected")
@@ -263,12 +276,14 @@ def conjecture_report(
             same_witness=min_so.key == max_co.key,
             conjectured_so=conj_so,
             so_gap=so_gap,
-            so_bound_holds=so_gap >= -BOUND_TOL,
+            so_bound_holds=min_so.exact >= formulas.conjectured_min_so_exact(n),
             conjectured_coindex_corrected=conj_co_c,
             coindex_gap_corrected=gap_c,
-            coindex_bound_holds_corrected=gap_c <= BOUND_TOL,
+            coindex_bound_holds_corrected=(
+                max_co.exact <= formulas.conjectured_max_coindex_exact(n, "corrected")),
             conjectured_coindex_literal=conj_co_l,
             coindex_gap_literal=gap_l,
-            coindex_bound_holds_literal=gap_l <= BOUND_TOL,
+            coindex_bound_holds_literal=(
+                max_co.exact <= formulas.conjectured_max_coindex_exact(n, "literal")),
         ))
     return out

@@ -3,7 +3,8 @@ the conjectured bounds for the still-open extremes.
 
 Closed forms are expanded per order into exact radical sums (radicands
 normalized squarefree) so they can be compared term-by-term against values
-computed straight from the graphs.  The scalar inequality helpers are plain
+computed straight from the graphs.  The conjectured bounds come both as the
+floats that reports display and as exact sums that decide the verdicts.  The scalar inequality helpers are plain
 floating-point functions: they express analytic facts about square-root
 differences, not graph quantities, so double precision with a 1e-12
 equality tolerance is adequate and every sweep margin is orders of
@@ -235,3 +236,28 @@ def conjectured_max_coindex(n: int, reading: str = "corrected") -> float:
     if reading == "literal":
         return 2 * _SQRT2 * n * n + (10 - 26 * _SQRT2 * n + 4 * _SQRT5) * n + tail
     raise ValueError(f"reading must be 'corrected' or 'literal', got {reading!r}")
+
+
+def conjectured_min_so_exact(n: int) -> RadicalSum:
+    """:func:`conjectured_min_so` as an exact sum: ``20 + (6n-33)sqrt(2) + 4sqrt(5) + 2sqrt(13)``."""
+    if n < 5:
+        raise ValueError(f"conjectured_min_so is reported for orders >= 5, got {n}")
+    return RadicalSum({1: 20, 2: 6 * n - 33, 5: 4, 13: 2})
+
+
+def conjectured_max_coindex_exact(n: int, reading: str = "corrected") -> RadicalSum:
+    """:func:`conjectured_max_coindex` as an exact sum.
+
+    Both readings are ``(10n-60) + a*sqrt(2) + (4n-20)sqrt(5) + 2sqrt(13)``,
+    with ``a = 2n^2 - 26n + 89`` when corrected and ``a = 89 - 24n^2`` when
+    literal.
+    """
+    if n < 5:
+        raise ValueError(f"conjectured_max_coindex is reported for orders >= 5, got {n}")
+    if reading == "corrected":
+        root2 = 2 * n * n - 26 * n + 89
+    elif reading == "literal":
+        root2 = 89 - 24 * n * n
+    else:
+        raise ValueError(f"reading must be 'corrected' or 'literal', got {reading!r}")
+    return RadicalSum({1: 10 * n - 60, 2: root2, 5: 4 * n - 20, 13: 2})

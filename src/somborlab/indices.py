@@ -5,8 +5,9 @@ same weight over non-adjacent pairs, with degrees always taken in the
 original graph (the coindex of a two-tree is not an index of its
 complement).  Edges and non-edges partition the vertex pairs, so the
 coindex is the all-pairs total minus the index; the total needs only the
-degree histogram, and no pair walk happens anywhere.  All sums are exact
-:class:`~somborlab.radicals.RadicalSum` values.
+degree histogram, so it is computed once per histogram, and no pair walk
+happens anywhere.  All sums are exact :class:`~somborlab.radicals.RadicalSum`
+values.
 """
 
 from __future__ import annotations
@@ -69,10 +70,15 @@ def sombor_coindex(g: Graph) -> IndexValue:
 
 def total_pair_sum(g: Graph) -> IndexValue:
     """Weight summed over all vertex pairs; equals index + coindex exactly."""
-    hist = sorted(Counter(g.degrees()).items())
+    return IndexValue(_histogram_total(tuple(sorted(Counter(g.degrees()).items()))))
+
+
+@lru_cache(maxsize=None)
+def _histogram_total(hist: tuple[tuple[int, int], ...]) -> RadicalSum:
+    # the total depends only on the sorted (degree, count) histogram
     pairs = {}
     for i, (a, ha) in enumerate(hist):
         pairs[(a, a)] = ha * (ha - 1) // 2
         for b, hb in hist[i + 1:]:
             pairs[(a, b)] = ha * hb
-    return IndexValue(_weighted_total(pairs))
+    return _weighted_total(pairs)

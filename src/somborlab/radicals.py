@@ -8,12 +8,17 @@ over the rationals, so the term map (with zero coefficients dropped) is a
 unique normal form: two sums are equal as real numbers exactly when their
 term maps coincide.  Strict order is the sign of the difference, decided by
 one integer estimate whose precision doubles until it clears its error bound.
+
+Many distinct values are sorted by :func:`sort_values` without pairwise
+comparisons: each value gets one fixed-point integer key with a certified
+error bound, keys far enough apart order their values, and only runs of
+keys too close to separate are keyed again at doubled precision.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterable, Iterator
 
 _START_BITS = 64
 _MAX_BITS = 1024
@@ -190,6 +195,58 @@ class RadicalSum:
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._terms.items()))
+
+
+def sort_values(values: Iterable[RadicalSum], reverse: bool = False) -> list[RadicalSum]:
+    """Pairwise distinct values in exact ascending (or, with ``reverse``,
+    descending) order.
+
+    At ``bits`` of precision a value keys as ``est = sum c * isqrt(s * 4**bits)``,
+    which lies within ``M = sum |c|`` of ``value * 2**bits``.  With one ``M``
+    for the whole run (the largest), keys more than ``2*M`` apart order their
+    values, so the key-sorted run splits at every such gap into runs that are
+    ordered relative to each other.  A run of two or more values is keyed
+    again at doubled precision; past ``_MAX_BITS`` the values are taken to be
+    inseparable and :class:`ArithmeticError` is raised, as in
+    :meth:`RadicalSum.compare`.
+    """
+    done: list[RadicalSum] = []
+    _place(list(values), _START_BITS, reverse, {}, done)
+    return done
+
+
+def _place(
+    run: list[RadicalSum],
+    bits: int,
+    reverse: bool,
+    roots: dict[int, dict[int, int]],  # bits -> radicand -> isqrt(s << 2*bits)
+    done: list[RadicalSum],
+) -> None:
+    # append ``run`` to ``done`` in order, certified at ``bits`` or more
+    if len(run) < 2:
+        done.extend(run)
+        return
+    if bits > _MAX_BITS:
+        raise ArithmeticError(
+            f"interval refinement failed to separate distinct values ({run[0]!r} vs {run[1]!r})"
+        )
+    cache = roots.setdefault(bits, {})
+    keys = []
+    for v in run:
+        est = 0
+        for s, c in v._terms.items():
+            root = cache.get(s)
+            if root is None:
+                root = cache[s] = math.isqrt(s << 2 * bits)
+            est += c * root
+        keys.append(est)
+    gap = 2 * max(sum(map(abs, v._terms.values())) for v in run)
+    order = sorted(range(len(run)), key=keys.__getitem__, reverse=reverse)
+    start = 0
+    for i in range(1, len(order) + 1):
+        if i == len(order) or abs(keys[order[i]] - keys[order[i - 1]]) > gap:
+            _place([run[j] for j in order[start:i]], 2 * bits, reverse, roots, done)
+            start = i
 
 
 def sqrt_int(k: int) -> RadicalSum:

@@ -1,6 +1,6 @@
 import pytest
 
-from somborlab import formulas
+from somborlab import extremal, formulas, indices, radicals
 from somborlab.enumeration import enumerate_two_trees
 from somborlab.extremal import (
     attach_claims,
@@ -150,3 +150,52 @@ def test_conjecture_extremes_against_exact_bounds():
 def test_conjecture_report_rejects_small_orders():
     with pytest.raises(ValueError):
         conjecture_report([4])
+
+
+def test_rank_by_with_forced_rekeying_matches_default(monkeypatch):
+    level = enumerate_two_trees(9)
+    expected = {(kind, d): rank_by(9, kind, d, level=level) for kind in ("so", "so-bar")
+                for d in ("max", "min")}
+    # two bits of precision cannot separate index values, so every run is keyed again
+    monkeypatch.setattr(radicals, "_START_BITS", 2)
+    for (kind, direction), report in expected.items():
+        coarse = rank_by(9, kind, direction, level=level)
+        assert coarse.ranking == report.ranking
+        assert coarse.tie_sets == report.tie_sets
+        values = [e.exact for e in report.ranking]
+        assert values == sorted(values, reverse=direction == "max")
+
+
+def test_one_index_evaluation_per_graph(monkeypatch):
+    counts = {n: enumerate_two_trees(n).count for n in range(5, 10)}
+    calls = []
+    real = indices.sombor_index
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    # both bindings, so an index evaluated again inside the coindex is counted
+    monkeypatch.setattr(indices, "sombor_index", counted)
+    monkeypatch.setattr(extremal, "sombor_index", counted)
+    verify_theorems([5, 7, 9])
+    assert len(calls) == counts[5] + counts[7] + counts[9]
+    calls.clear()
+    conjecture_report([6, 8, 9])
+    assert len(calls) == counts[6] + counts[8] + counts[9]
+
+
+def test_bound_verdicts_are_exact_at_equality(monkeypatch):
+    # the corrected coindex bound is attained exactly from order 6, so its
+    # float gap is rounding noise around 0 while the verdict must hold
+    for report in conjecture_report(range(6, 10)):
+        assert report.max_coindex.exact == formulas.conjectured_max_coindex_exact(report.order)
+        assert report.coindex_bound_holds_corrected
+        assert report.so_bound_holds and not report.coindex_bound_holds_literal
+    # the minimum index is exactly (2n - 11)*sqrt(2) above the bound: raised by
+    # that much the bound holds with equality, raised by sqrt(2) more it fails
+    real = formulas.conjectured_min_so_exact
+    for shift, holds in ((11, True), (10, False)):
+        monkeypatch.setattr(formulas, "conjectured_min_so_exact",
+                            lambda n: real(n) + (2 * n - shift) * sqrt_int(2))
+        assert all(r.so_bound_holds == holds for r in conjecture_report(range(6, 10)))

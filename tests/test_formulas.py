@@ -130,3 +130,18 @@ def test_conjectured_max_coindex_readings_differ():
     assert literal < 0  # the uncorrected reading collapses to a cubic with huge negative slope
     with pytest.raises(ValueError):
         formulas.conjectured_max_coindex(6, "hybrid")
+
+
+def test_exact_conjectured_bounds_match_the_floats():
+    for n in range(5, 65):
+        pairs = [(formulas.conjectured_min_so_exact(n), formulas.conjectured_min_so(n))]
+        pairs += [(formulas.conjectured_max_coindex_exact(n, r), formulas.conjectured_max_coindex(n, r))
+                  for r in ("corrected", "literal")]
+        for exact, approx in pairs:
+            assert float(exact) == pytest.approx(approx, rel=1e-12, abs=1e-9)
+    with pytest.raises(ValueError):
+        formulas.conjectured_min_so_exact(4)
+    with pytest.raises(ValueError):
+        formulas.conjectured_max_coindex_exact(4)
+    with pytest.raises(ValueError):
+        formulas.conjectured_max_coindex_exact(6, "hybrid")

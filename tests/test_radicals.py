@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from somborlab.radicals import RadicalSum, sqrt_int
+from somborlab import radicals
+from somborlab.radicals import RadicalSum, sort_values, sqrt_int
 
 
 def _is_squarefree(k: int) -> bool:
@@ -182,3 +183,43 @@ def test_hashable_by_value():
         value = RadicalSum.integer(c)
         assert value == c and hash(value) == hash(c)
     assert len({RadicalSum.zero(), 0, RadicalSum.integer(3), 3}) == 2
+
+
+def test_sort_values_escalates_on_pell_pairs(monkeypatch):
+    # q*sqrt(2) and p from (1 + sqrt(2))^k = p + q*sqrt(2) differ by less than 1/p
+    values, p, q = [], 1, 1
+    for _ in range(119):
+        values += [q * sqrt_int(2), RadicalSum.integer(p)]
+        p, q = p + 2 * q, p + q
+    random.Random(3).shuffle(values)
+    assert sort_values(values) == sorted(values)
+    assert sort_values(values, reverse=True) == sorted(values, reverse=True)
+    # the starting precision alone cannot separate the close pairs
+    monkeypatch.setattr(radicals, "_MAX_BITS", radicals._START_BITS)
+    with pytest.raises(ArithmeticError):
+        sort_values(values)
+
+
+def test_sort_values_agrees_with_sorted_on_random_sums():
+    rng = random.Random(11)
+    pool = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 29, 34, 41, 58]
+    for signed in (False, True):
+        low = -40 if signed else 0
+        values = {
+            RadicalSum({s: rng.randrange(low, 41) for s in rng.sample(pool, rng.randrange(1, 5))})
+            for _ in range(3_000)
+        }
+        values = list(values)  # duplicate-free
+        assert any(float(v) < 0 for v in values) == signed
+        assert sort_values(values) == sorted(values)
+        assert sort_values(values, reverse=True) == sorted(values, reverse=True)
+
+
+def test_sort_values_small_inputs_and_unseparated_values(monkeypatch):
+    assert sort_values([]) == []
+    assert sort_values(iter([sqrt_int(2)])) == [sqrt_int(2)]
+    assert sort_values([sqrt_int(3), sqrt_int(2)]) == [sqrt_int(2), sqrt_int(3)]
+    monkeypatch.setattr(radicals, "_MAX_BITS", 0)
+    assert sort_values([sqrt_int(3)]) == [sqrt_int(3)]
+    with pytest.raises(ArithmeticError, match="interval refinement failed"):
+        sort_values([sqrt_int(3), sqrt_int(2)])
