@@ -7,9 +7,9 @@ isomorphism invariant of its degree-2 vertices, the *ear rank* (the two
 neighbours' degrees, larger first, then their common-neighbour count).  A
 child is canonized by one :func:`~somborlab.graphs.canonize_rows` call only
 when no degree-2 vertex outranks ``w``; otherwise it is dropped, and the
-duplicates that remain are discarded by canonical key.  Stored
-representatives are the canonical forms themselves, so their graph6 encoding
-equals their key and two runs produce byte-identical levels.
+duplicates that remain are discarded by canonical key.  A level stores only
+its sorted keys, the graph6 encodings of the canonical forms: workers decode
+parents from keys and return keys, and two runs give byte-identical levels.
 
 No isomorphism class is lost.  In a two-tree of order at least 3 every
 degree-2 vertex is removable: its neighbours are adjacent and deleting it
@@ -39,6 +39,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 
+from .graph6 import from_graph6
 from .graphs import CanonicalKey, CapacityError, Graph, canonical_key, canonize_rows, is_two_tree
 
 DEFAULT_CAP = 12
@@ -47,15 +48,19 @@ ORACLE_CAP = 7
 
 @dataclass(frozen=True)
 class EnumLevel:
-    """All two-trees of one order, canonical forms sorted by key."""
+    """All two-trees of one order, as their canonical keys in sorted order."""
 
     order: int
-    graphs: tuple[Graph, ...]
     keys: tuple[CanonicalKey, ...]
 
     @property
+    def graphs(self) -> tuple[Graph, ...]:
+        """The canonical forms, decoded from the keys on every access."""
+        return tuple(map(from_graph6, self.keys))
+
+    @property
     def count(self) -> int:
-        return len(self.graphs)
+        return len(self.keys)
 
     def checksum(self) -> str:
         return hashlib.sha256(b"\n".join(self.keys)).hexdigest()
@@ -77,13 +82,14 @@ def _ear_rank(rows: list[int], x: int) -> tuple[int, int, int]:
     return da, db, (rows[a] & rows[b]).bit_count()
 
 
-def _expand_rows(parent_rows: list[int]) -> list[tuple[CanonicalKey, list[int]]]:
-    """Canonized children of one parent whose new vertex has the top ear rank.
+def _expand_rows(parent: CanonicalKey) -> list[CanonicalKey]:
+    """Canonical keys of the parent's children whose new vertex has the top ear rank.
 
     A child grown on an edge is kept only when no degree-2 vertex of the
     child outranks the new vertex; duplicates among the kept are left to the
     caller's merge.
     """
+    parent_rows = from_graph6(parent)._rows
     n = len(parent_rows)
     ears = [x for x in range(n) if parent_rows[x].bit_count() == 2]
     out = []
@@ -105,21 +111,17 @@ def _expand_rows(parent_rows: list[int]) -> list[tuple[CanonicalKey, list[int]]]
 
 
 def _next_level(level: EnumLevel, pool: ProcessPoolExecutor | None, workers: int) -> EnumLevel:
-    parents = [g._rows for g in level.graphs]
     if pool is None:
-        children = map(_expand_rows, parents)
+        children = map(_expand_rows, level.keys)
     else:
-        chunk = max(1, len(parents) // (workers * 4))
-        children = pool.map(_expand_rows, parents, chunksize=chunk)
-    dedup = {key: rows for batch in children for key, rows in batch}
-    keys = sorted(dedup)
-    graphs = tuple(Graph._from_rows(dedup[k]) for k in keys)
-    return EnumLevel(level.order + 1, graphs, tuple(keys))
+        chunk = max(1, len(level.keys) // (workers * 4))
+        children = pool.map(_expand_rows, level.keys, chunksize=chunk)
+    keys = sorted({key for batch in children for key in batch})
+    return EnumLevel(level.order + 1, tuple(keys))
 
 
 def _base_level() -> EnumLevel:
-    k2 = Graph.from_edges(2, [(0, 1)])
-    return EnumLevel(2, (k2,), (canonical_key(k2),))
+    return EnumLevel(2, (canonical_key(Graph.from_edges(2, [(0, 1)])),))
 
 
 def enumerate_levels(max_order: int, cap: int = DEFAULT_CAP, workers: int = 1):

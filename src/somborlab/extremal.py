@@ -3,15 +3,15 @@ extremal claims, plus evidence reports for the still-open extremes.
 
 All rankings are exact: distinct two-trees can collide in double precision,
 so tie sets are decided symbolically and the float shadows appear only for
-human consumption.  One pass over a level evaluates each graph once, taking
-the coindex as the histogram total minus the index, and groups the graphs by
-exact value in both directions; each group is one tie set.  Only the
-distinct values are ordered, by :func:`~somborlab.radicals.sort_values`'s
-certified fixed-point keys rather than pairwise exact comparisons, and the
-evidence reports take the ends of that order.  Bound verdicts are the sign
-of an exact gap.  A failed claim produces a structured diagnostic and a
-nonzero exit through the CLI, never a crash, and a run always completes
-every requested order first.
+human consumption.  One pass over a level's keys decodes and evaluates each
+graph once, taking the coindex as the histogram total minus the index, and
+groups the graphs by exact value in both directions; each group is one tie
+set.  Only the distinct values are ordered, by
+:func:`~somborlab.radicals.sort_values`'s certified fixed-point keys rather
+than pairwise exact comparisons, and the evidence reports take the ends of
+that order.  Bound verdicts are the sign of an exact gap.  A failed claim
+produces a structured diagnostic and a nonzero exit through the CLI, never
+a crash, and a run always completes every requested order first.
 """
 
 from __future__ import annotations
@@ -74,14 +74,15 @@ Groups = dict[RadicalSum, list[RankedEntry]]
 def _value_groups(level: EnumLevel) -> tuple[Groups, Groups]:
     """Graphs grouped by exact index and by exact coindex, groups unordered.
 
-    Each graph is evaluated once: its coindex is the all-pairs total minus
-    its index.  The normal form of a value is unique, so each group is one
-    exact tie set; level keys arrive sorted, so each group lists its graphs
-    by key.
+    Each graph is decoded from its key in turn and evaluated once: its
+    coindex is the all-pairs total minus its index.  The normal form of a
+    value is unique, so each group is one exact tie set; level keys arrive
+    sorted, so each group lists its graphs by key.
     """
     so_groups: Groups = {}
     co_groups: Groups = {}
-    for g, key in zip(level.graphs, level.keys):
+    for key in level.keys:
+        g = from_graph6(key)
         so = sombor_index(g).exact
         co = total_pair_sum(g).exact - so
         graph6 = key.decode("ascii")
@@ -234,10 +235,6 @@ class ConjectureReport:
     coindex_bound_holds_literal: bool
 
 
-def _degrees_of_key(key: CanonicalKey) -> tuple[int, ...]:
-    return from_graph6(key.decode("ascii")).degree_sequence()
-
-
 def conjecture_report(
     orders: Iterable[int],
     cap: int = DEFAULT_CAP,
@@ -268,10 +265,10 @@ def conjecture_report(
             order=n,
             parity_label=1 if n % 2 == 0 else 2,
             min_so=min_so,
-            min_so_degrees=_degrees_of_key(min_so.key),
+            min_so_degrees=from_graph6(min_so.key).degree_sequence(),
             min_so_is_linear=min_so.key == linear_key,
             max_coindex=max_co,
-            max_coindex_degrees=_degrees_of_key(max_co.key),
+            max_coindex_degrees=from_graph6(max_co.key).degree_sequence(),
             max_coindex_is_linear=max_co.key == linear_key,
             same_witness=min_so.key == max_co.key,
             conjectured_so=conj_so,

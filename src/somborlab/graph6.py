@@ -3,12 +3,14 @@
 The graph6 encoder is bit-exact against the published format definition:
 an order field (one byte for orders up to 62, a ``~``-prefixed 18-bit field
 above) followed by the upper triangle of the adjacency matrix in column
-order, packed into 6-bit printable characters.
+order, packed into 6-bit printable characters.  The decoder validates its
+input and then reads it with the same unpacking that turns a canonical key
+back into its canonical form.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, _columns_of, _graph6_pack
+from .graphs import Graph, _columns_of, _graph6_order, _graph6_pack, _graph6_rows
 
 _HEADER = ">>graph6<<"
 
@@ -27,42 +29,18 @@ def from_graph6(text: str | bytes) -> Graph:
         s = s[len(_HEADER):].strip()
     if not s:
         raise ValueError("empty graph6 string")
-    data = [ord(ch) - 63 for ch in s]
-    if any(not 0 <= d <= 63 for d in data):
+    if min(s) < "?" or max(s) > "~":
         raise ValueError(f"invalid graph6 characters in {s!r}")
-    if data[0] == 63:  # '~' marker: 18-bit order
-        if len(data) < 4:
-            raise ValueError("truncated graph6 order field")
-        n = data[1] << 12 | data[2] << 6 | data[3]
-        body = data[4:]
-    else:
-        n = data[0]
-        body = data[1:]
-    nbits = n * (n - 1) // 2
-    if len(body) != (nbits + 5) // 6:
+    if s[0] == "~" and len(s) < 4:  # '~' marker: 18-bit order
+        raise ValueError("truncated graph6 order field")
+    raw = s.encode("ascii")
+    n, start = _graph6_order(raw)
+    groups = (n * (n - 1) // 2 + 5) // 6
+    if len(raw) - start != groups:
         raise ValueError(
-            f"graph6 body has {len(body)} characters, expected {(nbits + 5) // 6} for order {n}"
+            f"graph6 body has {len(raw) - start} characters, expected {groups} for order {n}"
         )
-    g = Graph(n)
-    bit = 0
-    for group in body:
-        for shift in range(5, -1, -1):
-            if bit >= nbits:
-                break
-            if group >> shift & 1:
-                u, v = _pair_at(bit)
-                g.add_edge(u, v)
-            bit += 1
-    return g
-
-
-def _pair_at(bit: int) -> tuple[int, int]:
-    # upper triangle in column order: columns v = 1, 2, ... of lengths 1, 2, ...
-    v = 1
-    while bit >= v:
-        bit -= v
-        v += 1
-    return bit, v
+    return Graph._from_rows(_graph6_rows(raw))
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

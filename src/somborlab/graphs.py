@@ -8,7 +8,8 @@ treated as immutable and may be shared freely across worker processes.
 
 The canonical key of a graph is the graph6 encoding of a canonically
 relabeled copy, so equal keys mean isomorphic graphs and every key is itself
-a valid, printable graph6 string.
+a valid, printable graph6 string.  Decoding a key gives the canonical form,
+so a key alone stands for its graph and nothing else needs to be stored.
 """
 
 from __future__ import annotations
@@ -292,6 +293,33 @@ def _graph6_pack(order: int, columns: list[int]) -> bytes:
     return _graph6_order_bytes(order) + bytes(body)
 
 
+def _graph6_order(data: bytes) -> tuple[int, int]:
+    """Order and order-field length of graph6 bytes; inverts :func:`_graph6_order_bytes`."""
+    if data[0] == 126:  # '~' marker: 18-bit order
+        return (data[1] - 63) << 12 | (data[2] - 63) << 6 | data[3] - 63, 4
+    return data[0] - 63, 1
+
+
+def _graph6_rows(data: bytes) -> list[int]:
+    """Rows of a well-formed graph6 string (either order field); inverts :func:`_graph6_pack`."""
+    n, start = _graph6_order(data)
+    body = data[start:]
+    acc = 0
+    for group in body:
+        acc = acc << 6 | group - 63
+    acc >>= 6 * len(body) - n * (n - 1) // 2
+    rows = [0] * n
+    for k in range(n - 1, 0, -1):  # the last column holds the lowest bits
+        col = acc & ((1 << k) - 1)
+        acc >>= k
+        while col:  # bit p - 1 of column k is the pair (k - p, k)
+            p = col.bit_length()
+            col ^= 1 << (p - 1)
+            rows[k - p] |= 1 << k
+            rows[k] |= 1 << (k - p)
+    return rows
+
+
 def _columns_of(rows: list[int], n: int) -> list[int]:
     cols = [0] * n
     for k in range(1, n):
@@ -302,37 +330,19 @@ def _columns_of(rows: list[int], n: int) -> list[int]:
     return cols
 
 
-def _rows_from_columns(columns: list[int], n: int) -> list[int]:
-    rows = [0] * n
-    for k in range(1, n):
-        col = columns[k]
-        for i in range(k):
-            if col >> (k - 1 - i) & 1:
-                rows[i] |= 1 << k
-                rows[k] |= 1 << i
-    return rows
+def canonize_rows(rows: list[int]) -> CanonicalKey:
+    """Canonical key of adjacency rows: the graph6 encoding of the canonical relabeling."""
+    return _graph6_pack(len(rows), _canonical_columns(rows, len(rows)))
 
 
 def canonical_key(g: Graph) -> CanonicalKey:
-    """Relabeling-invariant identifier: equal keys iff isomorphic graphs.
-
-    The key is the graph6 encoding of the canonical relabeling, i.e. the
-    order followed by the packed upper triangle of the canonical adjacency
-    matrix.
-    """
-    return _graph6_pack(g.order, _canonical_columns(g._rows, g.order))
-
-
-def canonize_rows(rows: list[int]) -> tuple[CanonicalKey, list[int]]:
-    """Canonical key and canonically relabeled adjacency rows of ``rows``."""
-    n = len(rows)
-    cols = _canonical_columns(rows, n)
-    return _graph6_pack(n, cols), _rows_from_columns(cols, n)
+    """Relabeling-invariant identifier: equal keys iff isomorphic graphs."""
+    return canonize_rows(g._rows)
 
 
 def canonical_form(g: Graph) -> Graph:
-    """The canonically relabeled copy of ``g`` (the graph the key encodes)."""
-    return Graph._from_rows(canonize_rows(g._rows)[1])
+    """The canonically relabeled copy of ``g``, decoded from its key."""
+    return Graph._from_rows(_graph6_rows(canonical_key(g)))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

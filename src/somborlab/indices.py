@@ -50,7 +50,7 @@ def _weighted_total(pairs: dict[tuple[int, int], int]) -> RadicalSum:
     terms: dict[int, int] = {}
     for (da, db), count in pairs.items():
         if count:  # a degree held by one vertex pairs with itself 0 times
-            for s, c in edge_weight(da, db):
+            for s, c in edge_weight(da, db)._terms.items():
                 terms[s] = terms.get(s, 0) + count * c
     return RadicalSum._unchecked(terms)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 from math import comb, factorial
 
@@ -7,12 +8,14 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from somborlab import enumeration
 from somborlab.enumeration import (
+    EnumLevel,
     count_two_trees,
     enumerate_levels,
     enumerate_two_trees,
     oracle_filter_count,
 )
 from somborlab.families import l_graph, x_graph
+from somborlab.graph6 import to_graph6
 from somborlab.graphs import CapacityError, Graph, canonical_key, is_two_tree
 
 
@@ -103,6 +106,37 @@ def test_levels_are_sorted_unique_canonical():
         for g, key in zip(level.graphs, level.keys):
             assert is_two_tree(g)
             assert canonical_key(g) == key
+            assert to_graph6(g) == key.decode()
+
+
+def test_a_level_stores_only_its_keys():
+    assert [f.name for f in dataclasses.fields(EnumLevel)] == ["order", "keys"]
+    level = enumerate_two_trees(6)
+    assert level.count == len(level.keys) == 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        level.graphs = ()
+
+
+def test_expansion_maps_a_parent_key_to_child_keys():
+    parent = enumerate_two_trees(6).keys[-1]
+    assert type(parent) is bytes
+    children = enumeration._expand_rows(parent)
+    assert type(children) is list and children
+    assert all(type(key) is bytes for key in children)
+    assert set(children) <= set(enumerate_two_trees(7).keys)
+
+
+def test_order_12_level_digest_at_two_workers():
+    level = enumerate_two_trees(12, workers=2)
+    assert level.count == 9368
+    assert level.checksum() == "ac428daffe7b0c48e23f6cf81fcfa297d331cf2b2c5cad563673e2a00666b001"
+
+
+@pytest.mark.slow
+def test_order_13_level_digest():
+    level = enumerate_two_trees(13, cap=13, workers=2)
+    assert level.count == 41534
+    assert level.checksum() == "6f44ec5b4276d225f4ce6161bb9532b07f26ab5a3a7525999b43e1b009d45491"
 
 
 def test_determinism_across_runs_and_workers():

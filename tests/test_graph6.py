@@ -65,6 +65,29 @@ def test_large_order_field():
         assert from_graph6(s) == g
 
 
+def _random_graph(n: int, rng: random.Random) -> Graph:
+    pairs = itertools.combinations(range(n), 2)
+    return Graph.from_edges(n, [pair for pair in pairs if rng.random() < 0.5])
+
+
+def test_decoder_round_trip_at_every_order():
+    # orders 1..64 meet every padding residue of n(n-1)/2 mod 6 and both
+    # order-field forms (one byte up to 62, the '~' prefix from 63)
+    rng = random.Random(41)
+    residues = set()
+    for n in range(1, 65):
+        residues.add(n * (n - 1) // 2 % 6)
+        for g in (complete(n), _random_graph(n, rng)):
+            text = to_graph6(g)
+            assert text.startswith("~") == (n > 62)
+            assert from_graph6(text) == g
+            if n in (26, 37, 50, 62, 63, 64):
+                h = nx.from_graph6_bytes(text.encode())
+                assert sorted(h.nodes()) == list(range(n))
+                assert {tuple(sorted(e)) for e in h.edges()} == set(g.edges())
+    assert residues == {0, 1, 3, 4}
+
+
 def test_parse_accepts_header_and_rejects_garbage():
     assert from_graph6(">>graph6<<A_") == Graph.from_edges(2, [(0, 1)])
     assert from_graph6(b"A_\n") == Graph.from_edges(2, [(0, 1)])

@@ -10,9 +10,11 @@ from somborlab.graphs import (
     are_isomorphic,
     canonical_form,
     canonical_key,
+    canonize_rows,
     is_two_tree,
 )
 from somborlab.families import from_recipe, l_graph, linear_two_tree, random_recipe, x_graph
+from somborlab.graph6 import from_graph6
 
 
 # independent constructions used as oracles, never the package constructors
@@ -164,6 +166,16 @@ def test_canonical_form_is_isomorphic_and_fixed():
     assert canonical_key(cf) == canonical_key(g)
     assert cf.degree_sequence() == g.degree_sequence()
     assert canonical_form(cf) == cf
+
+
+def test_canonize_rows_returns_the_key_that_decodes_to_the_canonical_form():
+    rng = random.Random(5)
+    for _ in range(20):
+        g = from_recipe(random_recipe(rng.randrange(3, 30), rng))
+        key = canonize_rows(g._rows)
+        assert type(key) is bytes
+        assert key == canonical_key(g)
+        assert from_graph6(key) == canonical_form(g)
 
 
 def test_canonical_key_matches_networkx_verdicts():
