@@ -155,15 +155,16 @@ def _claim_line(check) -> str:
 
 
 def _ranking_json(report: ExtremalReport) -> dict:
+    tie_sets = [[key.decode("ascii") for key in keys] for _, keys in report.groups]
     ranking = []
-    for group in report.tie_sets:  # one value per tie set, rendered once
-        value = _value_json(report.ranking[len(ranking)].exact)
-        ranking.extend({"graph6": graph6, **value} for graph6 in group)
+    for (value, _), tie_set in zip(report.groups, tie_sets):
+        rendered = _value_json(value)  # once per tie set
+        ranking.extend({"graph6": graph6, **rendered} for graph6 in tie_set)
     return {
         "direction": report.direction,
-        "count": len(report.ranking),
+        "count": len(ranking),
         "ranking": ranking,
-        "tie_sets": report.tie_sets,
+        "tie_sets": tie_sets,
     }
 
 
@@ -187,12 +188,12 @@ def _cmd_verify(args) -> int:
     for so_report, co_report in zip(reports[0::2], reports[1::2]):
         checks = so_report.claim_checks + co_report.claim_checks
         lines.extend(_claim_line(check) for check in checks)
-        coincide = so_report.ranking[0].key == co_report.ranking[0].key
-        witness = so_report.ranking[0].graph6
+        so_top = so_report.groups[0][1][0].decode("ascii")
+        co_top = co_report.groups[0][1][0].decode("ascii")
+        coincide = so_top == co_top
         lines.append(
             f"n={so_report.order} cross-direction: SO maximizer and coindex minimizer "
-            + (f"coincide ({witness})" if coincide
-               else f"differ ({witness} vs {co_report.ranking[0].graph6})")
+            + (f"coincide ({so_top})" if coincide else f"differ ({so_top} vs {co_top})")
         )
         payload.append({
             "order": so_report.order,
@@ -244,8 +245,8 @@ def _cmd_check_lemmas(args) -> int:
 
 def _conjecture_lines(report: ConjectureReport, reading: str) -> list[str]:
     lines = [
-        f"n={report.order} min-SO observed={_fmt_float(report.min_so.approx)} "
-        f"witness={report.min_so.graph6} degrees={','.join(map(str, report.min_so_degrees))} "
+        f"n={report.order} min-SO observed={_fmt_float(float(report.min_so))} "
+        f"witness={report.min_so_key.decode('ascii')} degrees={','.join(map(str, report.min_so_degrees))} "
         f"linear={'yes' if report.min_so_is_linear else 'no'}",
     ]
     lines.append(
@@ -254,8 +255,8 @@ def _conjecture_lines(report: ConjectureReport, reading: str) -> list[str]:
         f"bound-holds={'yes' if report.so_bound_holds else 'NO (observed minimum is below the conjectured bound)'}"
     )
     lines.append(
-        f"n={report.order} max-coindex observed={_fmt_float(report.max_coindex.approx)} "
-        f"witness={report.max_coindex.graph6} degrees={','.join(map(str, report.max_coindex_degrees))} "
+        f"n={report.order} max-coindex observed={_fmt_float(float(report.max_coindex))} "
+        f"witness={report.max_coindex_key.decode('ascii')} degrees={','.join(map(str, report.max_coindex_degrees))} "
         f"linear={'yes' if report.max_coindex_is_linear else 'no'}"
     )
     if reading in ("corrected", "both"):
@@ -283,8 +284,8 @@ def _conjecture_json(reports: list[ConjectureReport]) -> list[dict]:
             "order": r.order,
             "equality_family_parity": r.parity_label,
             "min_so": {
-                "observed": _value_json(r.min_so.exact),
-                "graph6": r.min_so.graph6,
+                "observed": _value_json(r.min_so),
+                "graph6": r.min_so_key.decode("ascii"),
                 "degree_sequence": list(r.min_so_degrees),
                 "matches_linear_two_tree": r.min_so_is_linear,
                 "conjectured": r.conjectured_so,
@@ -292,8 +293,8 @@ def _conjecture_json(reports: list[ConjectureReport]) -> list[dict]:
                 "bound_holds": r.so_bound_holds,
             },
             "max_coindex": {
-                "observed": _value_json(r.max_coindex.exact),
-                "graph6": r.max_coindex.graph6,
+                "observed": _value_json(r.max_coindex),
+                "graph6": r.max_coindex_key.decode("ascii"),
                 "degree_sequence": list(r.max_coindex_degrees),
                 "matches_linear_two_tree": r.max_coindex_is_linear,
                 "conjectured_corrected": r.conjectured_coindex_corrected,
@@ -325,11 +326,11 @@ def _cmd_conjecture(args) -> int:
             "max_coindex_linear", "conjectured_coindex_corrected", "coindex_gap_corrected",
             "conjectured_coindex_literal", "coindex_gap_literal",
         ], ([
-            r.order, str(r.min_so.exact), _fmt_float(r.min_so.approx),
-            r.min_so.graph6, r.min_so_is_linear,
+            r.order, str(r.min_so), _fmt_float(float(r.min_so)),
+            r.min_so_key.decode("ascii"), r.min_so_is_linear,
             _fmt_float(r.conjectured_so), _fmt_float(r.so_gap), r.so_bound_holds,
-            str(r.max_coindex.exact), _fmt_float(r.max_coindex.approx),
-            r.max_coindex.graph6, r.max_coindex_is_linear,
+            str(r.max_coindex), _fmt_float(float(r.max_coindex)),
+            r.max_coindex_key.decode("ascii"), r.max_coindex_is_linear,
             _fmt_float(r.conjectured_coindex_corrected),
             _fmt_float(r.coindex_gap_corrected),
             _fmt_float(r.conjectured_coindex_literal),
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=os.environ.get(CAP_ENV, DEFAULT_CAP),
                        help=f"enumeration order cap (default {DEFAULT_CAP}, env {CAP_ENV})")
         p.add_argument("--workers", type=int, default=1,
-                       help="process count for level expansion")
+                       help="process count for level expansion (at most the CPU count)")
         p.add_argument("--output", help="write stdout payload to this file instead")
 
     p = sub.add_parser("enumerate", help="emit all two-trees of one order as graph6 lines")

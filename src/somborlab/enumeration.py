@@ -34,6 +34,7 @@ cross-validates the counts at small orders.
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -132,9 +133,11 @@ def enumerate_levels(max_order: int, cap: int = DEFAULT_CAP, workers: int = 1):
         raise ValueError(f"workers must be at least 1, got {workers}")
     level = _base_level()
     yield level
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    # a pool forks all its processes at the first submit: never more than the host has CPUs
+    processes = min(workers, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=processes) if workers > 1 else nullcontext() as pool:
         while level.order < max_order:
-            level = _next_level(level, pool, workers)
+            level = _next_level(level, pool, processes)
             yield level
 
 

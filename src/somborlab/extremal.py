@@ -2,11 +2,13 @@
 extremal claims, plus evidence reports for the still-open extremes.
 
 All rankings are exact: distinct two-trees can collide in double precision,
-so tie sets are decided symbolically and the float shadows appear only for
-human consumption.  One pass over a level's keys decodes and evaluates each
-graph once, taking the coindex as the histogram total minus the index, and
-groups the graphs by exact value in both directions; each group is one tie
-set.  Only the distinct values are ordered, by
+so tie sets are decided symbolically, and graph6 text and floats are
+rendered only by the writers, for human consumption.  One pass over a
+level's keys decodes and evaluates each graph once, taking the coindex as
+the histogram total minus the index, and groups the keys by exact value in
+both directions.  A ranked level is its tie sets in rank order, each one
+exact value kept once with the keys that attain it; no per-graph record is
+built.  Only the distinct values are ordered, by
 :func:`~somborlab.radicals.sort_values`'s certified fixed-point keys rather
 than pairwise exact comparisons, and the evidence reports take the ends of
 that order.  Bound verdicts are the sign of an exact gap.  A failed claim
@@ -32,17 +34,6 @@ DIRECTIONS = ("max", "min")
 
 
 @dataclass(frozen=True)
-class RankedEntry:
-    exact: RadicalSum
-    graph6: str
-    key: CanonicalKey
-
-    @property
-    def approx(self) -> float:
-        return float(self.exact)
-
-
-@dataclass(frozen=True)
 class ClaimCheck:
     claim: str
     order: int
@@ -59,8 +50,7 @@ class ExtremalReport:
     order: int
     kind: str
     direction: str
-    ranking: list[RankedEntry]
-    tie_sets: list[list[str]]
+    groups: list[tuple[RadicalSum, list[CanonicalKey]]]  # tie sets in rank order
     claim_checks: list[ClaimCheck] = field(default_factory=list)
 
     @property
@@ -68,16 +58,17 @@ class ExtremalReport:
         return all(c.passed for c in self.claim_checks)
 
 
-Groups = dict[RadicalSum, list[RankedEntry]]
+Groups = dict[RadicalSum, list[CanonicalKey]]
 
 
 def _value_groups(level: EnumLevel) -> tuple[Groups, Groups]:
-    """Graphs grouped by exact index and by exact coindex, groups unordered.
+    """Keys grouped by exact index and by exact coindex, groups unordered.
 
     Each graph is decoded from its key in turn and evaluated once: its
     coindex is the all-pairs total minus its index.  The normal form of a
     value is unique, so each group is one exact tie set; level keys arrive
-    sorted, so each group lists its graphs by key.
+    sorted, so each group lists its keys in level order.  Only the first
+    graph with a value keeps that value object.
     """
     so_groups: Groups = {}
     co_groups: Groups = {}
@@ -85,17 +76,14 @@ def _value_groups(level: EnumLevel) -> tuple[Groups, Groups]:
         g = from_graph6(key)
         so = sombor_index(g).exact
         co = total_pair_sum(g).exact - so
-        graph6 = key.decode("ascii")
-        so_groups.setdefault(so, []).append(RankedEntry(so, graph6, key))
-        co_groups.setdefault(co, []).append(RankedEntry(co, graph6, key))
+        so_groups.setdefault(so, []).append(key)
+        co_groups.setdefault(co, []).append(key)
     return so_groups, co_groups
 
 
 def _report(n: int, kind: str, direction: str, by_value: Groups) -> ExtremalReport:
-    groups = [by_value[v] for v in sort_values(by_value, reverse=direction == "max")]
-    ranking = [entry for group in groups for entry in group]
-    tie_sets = [[entry.graph6 for entry in group] for group in groups]
-    return ExtremalReport(n, kind, direction, ranking, tie_sets)
+    groups = [(v, by_value[v]) for v in sort_values(by_value, reverse=direction == "max")]
+    return ExtremalReport(n, kind, direction, groups)
 
 
 def rank_by(
@@ -127,23 +115,21 @@ def _claim(
 ) -> ClaimCheck:
     """Check that tie set ``position`` is exactly one expected graph with the
     expected exact value."""
-    ties = report.tie_sets
-    if position >= len(ties):
+    if position >= len(report.groups):
         return ClaimCheck(claim, n, expected_family, expected_value, "", RadicalSum.zero(),
-                          False, f"ranking has only {len(ties)} tie sets")
-    group = ties[position]
-    offset = sum(len(ties[i]) for i in range(position))
-    observed = report.ranking[offset]
+                          False, f"ranking has only {len(report.groups)} tie sets")
+    value, keys = report.groups[position]
+    witness = keys[0].decode("ascii")
     problems = []
-    if len(group) != 1:
-        problems.append(f"tie set of size {len(group)}: {group}")
-    if observed.key != expected_key:
-        problems.append(f"witness is {observed.graph6}, expected {expected_key.decode('ascii')}")
-    if observed.exact != expected_value:
-        problems.append(f"value {observed.exact} != closed form {expected_value}")
+    if len(keys) != 1:
+        problems.append(f"tie set of size {len(keys)}: {[key.decode('ascii') for key in keys]}")
+    if keys[0] != expected_key:
+        problems.append(f"witness is {witness}, expected {expected_key.decode('ascii')}")
+    if value != expected_value:
+        problems.append(f"value {value} != closed form {expected_value}")
     return ClaimCheck(
         claim, n, expected_family, expected_value,
-        observed.graph6, observed.exact, not problems, "; ".join(problems),
+        witness, value, not problems, "; ".join(problems),
     )
 
 
@@ -217,10 +203,12 @@ class ConjectureReport:
 
     order: int
     parity_label: int  # 1 when the order is even, 2 when odd
-    min_so: RankedEntry
+    min_so: RadicalSum
+    min_so_key: CanonicalKey
     min_so_degrees: tuple[int, ...]
     min_so_is_linear: bool
-    max_coindex: RankedEntry
+    max_coindex: RadicalSum
+    max_coindex_key: CanonicalKey
     max_coindex_degrees: tuple[int, ...]
     max_coindex_is_linear: bool
     same_witness: bool
@@ -252,35 +240,36 @@ def conjecture_report(
         if n not in wanted:
             continue
         so_groups, co_groups = _value_groups(level)
-        min_so = so_groups[sort_values(so_groups)[0]][0]
-        max_co = co_groups[sort_values(co_groups)[-1]][0]
+        min_so = sort_values(so_groups)[0]
+        max_co = sort_values(co_groups)[-1]
+        min_so_key = so_groups[min_so][0]
+        max_co_key = co_groups[max_co][0]
         linear_key = canonical_key(linear_two_tree(n))
         conj_so = formulas.conjectured_min_so(n)
         conj_co_c = formulas.conjectured_max_coindex(n, "corrected")
         conj_co_l = formulas.conjectured_max_coindex(n, "literal")
-        so_gap = min_so.approx - conj_so
-        gap_c = max_co.approx - conj_co_c
-        gap_l = max_co.approx - conj_co_l
         out.append(ConjectureReport(
             order=n,
             parity_label=1 if n % 2 == 0 else 2,
             min_so=min_so,
-            min_so_degrees=from_graph6(min_so.key).degree_sequence(),
-            min_so_is_linear=min_so.key == linear_key,
+            min_so_key=min_so_key,
+            min_so_degrees=from_graph6(min_so_key).degree_sequence(),
+            min_so_is_linear=min_so_key == linear_key,
             max_coindex=max_co,
-            max_coindex_degrees=from_graph6(max_co.key).degree_sequence(),
-            max_coindex_is_linear=max_co.key == linear_key,
-            same_witness=min_so.key == max_co.key,
+            max_coindex_key=max_co_key,
+            max_coindex_degrees=from_graph6(max_co_key).degree_sequence(),
+            max_coindex_is_linear=max_co_key == linear_key,
+            same_witness=min_so_key == max_co_key,
             conjectured_so=conj_so,
-            so_gap=so_gap,
-            so_bound_holds=min_so.exact >= formulas.conjectured_min_so_exact(n),
+            so_gap=float(min_so) - conj_so,
+            so_bound_holds=min_so >= formulas.conjectured_min_so_exact(n),
             conjectured_coindex_corrected=conj_co_c,
-            coindex_gap_corrected=gap_c,
+            coindex_gap_corrected=float(max_co) - conj_co_c,
             coindex_bound_holds_corrected=(
-                max_co.exact <= formulas.conjectured_max_coindex_exact(n, "corrected")),
+                max_co <= formulas.conjectured_max_coindex_exact(n, "corrected")),
             conjectured_coindex_literal=conj_co_l,
-            coindex_gap_literal=gap_l,
+            coindex_gap_literal=float(max_co) - conj_co_l,
             coindex_bound_holds_literal=(
-                max_co.exact <= formulas.conjectured_max_coindex_exact(n, "literal")),
+                max_co <= formulas.conjectured_max_coindex_exact(n, "literal")),
         ))
     return out

@@ -71,8 +71,8 @@ def test_criterion_3_theorem_verification():
         assert claims.count(claim) == 6
     # uniqueness: the top two tie sets of each ranking are singletons
     for report in reports:
-        assert len(report.tie_sets[0]) == 1
-        assert len(report.tie_sets[1]) == 1
+        assert len(report.groups[0][1]) == 1
+        assert len(report.groups[1][1]) == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     _report("3 theorem verification",

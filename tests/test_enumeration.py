@@ -1,5 +1,6 @@
 import dataclasses
 import multiprocessing
+import os
 from math import comb, factorial
 
 import networkx as nx
@@ -139,6 +140,13 @@ def test_order_13_level_digest():
     assert level.checksum() == "6f44ec5b4276d225f4ce6161bb9532b07f26ab5a3a7525999b43e1b009d45491"
 
 
+@pytest.mark.slow
+def test_order_14_level_digest():
+    level = enumerate_two_trees(14, cap=14, workers=2)
+    assert level.count == 188942
+    assert level.checksum() == "9c565a98910c876c0976396092a5816d0961176509d6f7f2b8a1d6bfeb7f7add"
+
+
 def test_determinism_across_runs_and_workers():
     first = enumerate_two_trees(7)
     second = enumerate_two_trees(7)
@@ -167,6 +175,23 @@ def test_one_pool_per_run_and_none_with_one_worker(monkeypatch):
     started.clear()
     enumerate_two_trees(9, workers=1)
     assert started == []
+
+
+def test_pool_never_exceeds_the_cpu_count(monkeypatch):
+    requested = []
+
+    class Refused(Exception):
+        pass
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            requested.append(max_workers)
+            raise Refused  # before any process is started
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    with pytest.raises(Refused):
+        list(enumerate_levels(3, workers=10**6))
+    assert len(requested) == 1 and requested[0] <= os.cpu_count()
 
 
 def test_abandoned_pooled_run_leaves_no_workers():

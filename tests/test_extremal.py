@@ -1,8 +1,12 @@
+import dataclasses
+
 import pytest
 
 from somborlab import extremal, formulas, indices, radicals
 from somborlab.enumeration import enumerate_two_trees
 from somborlab.extremal import (
+    ConjectureReport,
+    ExtremalReport,
     attach_claims,
     conjecture_report,
     rank_by,
@@ -15,26 +19,26 @@ from somborlab.radicals import RadicalSum, sqrt_int
 
 def test_rank_order_5_index_max():
     report = rank_by(5, "so", "max")
-    assert [e.graph6 for e in report.ranking] == [
-        canonical_key(x_graph(5)).decode(),
-        canonical_key(l_graph(5)).decode(),
+    assert [key for _, keys in report.groups for key in keys] == [
+        canonical_key(x_graph(5)),
+        canonical_key(l_graph(5)),
     ]
-    assert report.ranking[0].exact == 4 * sqrt_int(2) + 12 * sqrt_int(5)
-    assert report.ranking[1].exact == RadicalSum({1: 10, 2: 3, 5: 4, 13: 2})
+    assert report.groups[0][0] == 4 * sqrt_int(2) + 12 * sqrt_int(5)
+    assert report.groups[1][0] == RadicalSum({1: 10, 2: 3, 5: 4, 13: 2})
 
 
 def test_rank_order_5_coindex_min():
     report = rank_by(5, "so-bar", "min")
-    assert report.ranking[0].graph6 == canonical_key(x_graph(5)).decode()
-    assert report.ranking[0].exact == 6 * sqrt_int(2)
-    assert report.ranking[1].graph6 == canonical_key(l_graph(5)).decode()
-    assert report.ranking[1].exact == 2 * sqrt_int(2) + 2 * sqrt_int(13)
+    assert report.groups[0][1] == [canonical_key(x_graph(5))]
+    assert report.groups[0][0] == 6 * sqrt_int(2)
+    assert report.groups[1][1] == [canonical_key(l_graph(5))]
+    assert report.groups[1][0] == 2 * sqrt_int(2) + 2 * sqrt_int(13)
 
 
 def test_rank_order_5_index_min_is_the_second_family():
     report = rank_by(5, "so", "min")
-    assert report.ranking[0].graph6 == canonical_key(l_graph(5)).decode()
-    assert float(report.ranking[0].exact) == pytest.approx(30.39801515, abs=1e-7)
+    assert report.groups[0][1][0] == canonical_key(l_graph(5))
+    assert float(report.groups[0][0]) == pytest.approx(30.39801515, abs=1e-7)
 
 
 def test_rank_rejects_unknown_kind_or_direction():
@@ -73,12 +77,12 @@ def test_uniqueness_top_tie_sets_singletons():
     for n in range(5, 9):
         so = rank_by(n, "so", "max")
         co = rank_by(n, "so-bar", "min")
-        assert len(so.tie_sets[0]) == 1
-        assert len(so.tie_sets[1]) == 1
-        assert len(co.tie_sets[0]) == 1
-        assert len(co.tie_sets[1]) == 1
+        assert len(so.groups[0][1]) == 1
+        assert len(so.groups[1][1]) == 1
+        assert len(co.groups[0][1]) == 1
+        assert len(co.groups[1][1]) == 1
         # the index maximizer and the coindex minimizer coincide
-        assert so.ranking[0].key == co.ranking[0].key
+        assert so.groups[0][1] == co.groups[0][1]
 
 
 def test_second_extremal_gaps_positive():
@@ -104,10 +108,45 @@ def test_swapped_expectations_fail_with_named_mismatch():
             assert "witness is" in check.note or "value" in check.note
 
 
+def test_claim_against_a_ranking_too_short_fails_with_a_note():
+    level = enumerate_two_trees(5)
+    so_report = rank_by(5, "so", "max", level=level)
+    co_report = rank_by(5, "so-bar", "min", level=level)
+    so_report.groups = so_report.groups[:1]
+    attach_claims(so_report, co_report)
+    first, second = so_report.claim_checks
+    assert first.passed
+    assert second.claim == "so-second-max" and not second.passed
+    assert second.note == "ranking has only 1 tie sets"
+    assert second.observed_graph6 == "" and second.observed_value == RadicalSum.zero()
+    assert co_report.passed
+
+
+def test_rank_layer_keeps_values_and_keys_only():
+    assert not hasattr(extremal, "RankedEntry")
+    assert [f.name for f in dataclasses.fields(ExtremalReport)] == [
+        "order", "kind", "direction", "groups", "claim_checks"]
+    level = enumerate_two_trees(9)
+    for kind in extremal.KINDS:
+        for direction in extremal.DIRECTIONS:
+            report = rank_by(9, kind, direction, level=level)
+            for value, keys in report.groups:
+                assert type(value) is RadicalSum
+                assert type(keys) is list and keys == sorted(keys)
+                assert all(type(key) is bytes for key in keys)
+            # every level key lands in exactly one tie set
+            assert sorted(key for _, keys in report.groups for key in keys) == list(level.keys)
+    (report,) = conjecture_report([9])
+    for f in dataclasses.fields(ConjectureReport):
+        assert isinstance(getattr(report, f.name), (int, float, RadicalSum, bytes, tuple)), f.name
+    assert type(report.min_so) is RadicalSum and report.min_so_key in level.keys
+    assert type(report.max_coindex) is RadicalSum and report.max_coindex_key in level.keys
+
+
 def test_conjecture_report_flags_order_5():
     (report,) = conjecture_report([5])
-    assert report.min_so.graph6 == canonical_key(l_graph(5)).decode()
-    assert float(report.min_so.exact) == pytest.approx(30.398, abs=1e-3)
+    assert report.min_so_key == canonical_key(l_graph(5))
+    assert float(report.min_so) == pytest.approx(30.398, abs=1e-3)
     assert report.conjectured_so == pytest.approx(31.913, abs=1e-3)
     assert report.so_gap < 0
     assert not report.so_bound_holds
@@ -121,7 +160,7 @@ def test_conjecture_report_order_6_exhaustive():
     linear_value = float(
         RadicalSum({1: 20, 2: 4, 5: 4, 13: 2})
     )
-    assert report.min_so.approx == pytest.approx(linear_value, abs=1e-9)
+    assert float(report.min_so) == pytest.approx(linear_value, abs=1e-9)
     assert report.min_so_is_linear
     assert report.conjectured_so == pytest.approx(40.398015148, abs=1e-6)
     assert report.so_bound_holds
@@ -141,10 +180,10 @@ def test_conjecture_extremes_against_exact_bounds():
         conjectured_so = RadicalSum({1: 20, 2: 6 * n - 33, 5: 4, 13: 2})
         assert float(corrected) == pytest.approx(report.conjectured_coindex_corrected, abs=1e-9)
         assert float(conjectured_so) == pytest.approx(report.conjectured_so, abs=1e-9)
-        excess = report.max_coindex.exact - corrected
+        excess = report.max_coindex - corrected
         assert excess == (RadicalSum({1: 10, 2: -7}) if n == 5 else 0)  # 10 - 7*sqrt(2)
         so_gap = RadicalSum({1: -10, 2: 6}) if n == 5 else (2 * n - 11) * sqrt_int(2)
-        assert report.min_so.exact - conjectured_so == so_gap
+        assert report.min_so - conjectured_so == so_gap
 
 
 def test_conjecture_report_rejects_small_orders():
@@ -160,9 +199,8 @@ def test_rank_by_with_forced_rekeying_matches_default(monkeypatch):
     monkeypatch.setattr(radicals, "_START_BITS", 2)
     for (kind, direction), report in expected.items():
         coarse = rank_by(9, kind, direction, level=level)
-        assert coarse.ranking == report.ranking
-        assert coarse.tie_sets == report.tie_sets
-        values = [e.exact for e in report.ranking]
+        assert coarse.groups == report.groups
+        values = [value for value, keys in report.groups for _ in keys]
         assert values == sorted(values, reverse=direction == "max")
 
 
@@ -189,7 +227,7 @@ def test_bound_verdicts_are_exact_at_equality(monkeypatch):
     # the corrected coindex bound is attained exactly from order 6, so its
     # float gap is rounding noise around 0 while the verdict must hold
     for report in conjecture_report(range(6, 10)):
-        assert report.max_coindex.exact == formulas.conjectured_max_coindex_exact(report.order)
+        assert report.max_coindex == formulas.conjectured_max_coindex_exact(report.order)
         assert report.coindex_bound_holds_corrected
         assert report.so_bound_holds and not report.coindex_bound_holds_literal
     # the minimum index is exactly (2n - 11)*sqrt(2) above the bound: raised by
