@@ -10,14 +10,18 @@ both directions.  A ranked level is its tie sets in rank order, each one
 exact value kept once with the keys that attain it; no per-graph record is
 built.  Only the distinct values are ordered, by
 :func:`~somborlab.radicals.sort_values`'s certified fixed-point keys rather
-than pairwise exact comparisons, and the evidence reports take the ends of
-that order.  Bound verdicts are the sign of an exact gap.  A failed claim
+than pairwise exact comparisons.  The evidence reports need only the
+minimum index and the maximum coindex, so they rank nothing: the first
+Zagreb bound ``SO >= M1/sqrt(2)``, which depends only on the degree
+histogram, rules out all but a handful of graphs per order before any is
+evaluated.  Bound verdicts are the sign of an exact gap.  A failed claim
 produces a structured diagnostic and a nonzero exit through the CLI, never
 a crash, and a run always completes every requested order first.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -25,9 +29,9 @@ from . import formulas
 from .enumeration import DEFAULT_CAP, EnumLevel, enumerate_levels, enumerate_two_trees
 from .families import l_graph, linear_two_tree, x_graph
 from .graph6 import from_graph6
-from .graphs import CanonicalKey, CapacityError, canonical_key
-from .indices import sombor_index, total_pair_sum
-from .radicals import RadicalSum, sort_values
+from .graphs import CanonicalKey, CapacityError, _graph6_rows, canonical_key
+from .indices import _histogram_total, sombor_index, total_pair_sum
+from .radicals import RadicalSum, sort_values, sqrt_int
 
 KINDS = ("so", "so-bar")
 DIRECTIONS = ("max", "min")
@@ -86,6 +90,62 @@ def _report(n: int, kind: str, direction: str, by_value: Groups) -> ExtremalRepo
     return ExtremalReport(n, kind, direction, groups)
 
 
+Extreme = tuple[RadicalSum, CanonicalKey]
+
+
+def _extremes(level: EnumLevel) -> tuple[Extreme, Extreme]:
+    """Exact minimum index and maximum coindex of a level, each with its
+    smallest key, evaluating only the graphs a degree bound cannot rule out.
+
+    Since ``sqrt(a^2 + b^2) >= (a + b)/sqrt(2)`` and the edges' degree sums
+    add up to the first Zagreb index ``M1 = sum d(v)^2``, every graph has
+    ``SO >= M1/sqrt(2)`` and ``coSO = T - SO <= T - M1/sqrt(2)``, where ``T``
+    is the all-pairs total.  Both bounds depend only on the degree
+    histogram, so the keys are bucketed by sorted degree sequence, each
+    decoded once.  Buckets are visited best bound first and evaluated
+    whole, and the visit stops at the first bound strictly worse than the
+    best value found: no graph left can reach that value, so not even a tie
+    with a smaller key is lost.  Every bound and stop test is an exact
+    comparison, doubled to keep the coefficients integral.
+    """
+    buckets: dict[tuple[int, ...], list[CanonicalKey]] = {}
+    for key in level.keys:
+        degrees = tuple(sorted([row.bit_count() for row in _graph6_rows(key)]))
+        buckets.setdefault(degrees, []).append(key)
+    zagreb = {seq: sum(d * d for d in seq) for seq in buckets}  # M1
+    total = {seq: _histogram_total(tuple(sorted(Counter(seq).items()))) for seq in buckets}
+    root2 = sqrt_int(2)
+    index: dict[CanonicalKey, RadicalSum] = {}  # each graph is evaluated at most once
+
+    def so(key: CanonicalKey) -> RadicalSum:
+        if key not in index:
+            index[key] = sombor_index(from_graph6(key)).exact
+        return index[key]
+
+    min_so = min_key = None
+    for seq in sorted(buckets, key=zagreb.__getitem__):
+        if min_so is not None and zagreb[seq] * root2 > 2 * min_so:
+            break
+        for key in buckets[seq]:  # buckets are not in key order: a tie keeps the smaller key
+            value = so(key)
+            if min_so is None or value < min_so or (value == min_so and key < min_key):
+                min_so, min_key = value, key
+
+    by_bound: dict[RadicalSum, list[tuple[int, ...]]] = {}
+    for seq in buckets:
+        by_bound.setdefault(2 * total[seq] - zagreb[seq] * root2, []).append(seq)
+    max_co = max_key = None
+    for bound in sort_values(by_bound, reverse=True):
+        if max_co is not None and bound < 2 * max_co:
+            break
+        for seq in by_bound[bound]:
+            for key in buckets[seq]:
+                value = total[seq] - so(key)
+                if max_co is None or value > max_co or (value == max_co and key < max_key):
+                    max_co, max_key = value, key
+    return (min_so, min_key), (max_co, max_key)
+
+
 def rank_by(
     n: int,
     kind: str,
@@ -101,6 +161,8 @@ def rank_by(
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if level is None:
         level = enumerate_two_trees(n, cap=cap, workers=workers)
+    elif level.order != n:
+        raise ValueError(f"level has order {level.order}, cannot rank it as order {n}")
     return _report(n, kind, direction, _value_groups(level)[KINDS.index(kind)])
 
 
@@ -228,7 +290,13 @@ def conjecture_report(
     cap: int = DEFAULT_CAP,
     workers: int = 1,
 ) -> list[ConjectureReport]:
-    """Exhaustive minimum index / maximum coindex evidence per order."""
+    """Exhaustive minimum index / maximum coindex evidence per order.
+
+    Each order is enumerated in full, but only the graphs whose degree
+    sequence can still reach an extreme are evaluated (see
+    :func:`_extremes`); the witnesses are the smallest keys attaining the
+    exact extremes, the same as in a full ranking.
+    """
     wanted = sorted(set(orders))
     if not wanted:
         return []
@@ -239,11 +307,7 @@ def conjecture_report(
         n = level.order
         if n not in wanted:
             continue
-        so_groups, co_groups = _value_groups(level)
-        min_so = sort_values(so_groups)[0]
-        max_co = sort_values(co_groups)[-1]
-        min_so_key = so_groups[min_so][0]
-        max_co_key = co_groups[max_co][0]
+        (min_so, min_so_key), (max_co, max_co_key) = _extremes(level)
         linear_key = canonical_key(linear_two_tree(n))
         conj_so = formulas.conjectured_min_so(n)
         conj_co_c = formulas.conjectured_max_coindex(n, "corrected")

@@ -44,7 +44,7 @@ class RadicalSum:
     stable text rendering with radicands ascending.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")  # _hash is None until first hashed
 
     def __init__(self, terms: dict[int, int] | None = None):
         clean: dict[int, int] = {}
@@ -58,12 +58,14 @@ class RadicalSum:
                     raise ValueError(f"radicand {s} is not squarefree")
                 clean[s] = c
         self._terms = clean
+        self._hash = None
 
     @classmethod
     def _unchecked(cls, terms: dict[int, int]) -> "RadicalSum":
         # internal fast path: terms already in normal form
         obj = object.__new__(cls)
         obj._terms = terms
+        obj._hash = None
         return obj
 
     @classmethod
@@ -154,10 +156,13 @@ class RadicalSum:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        # a sum equal to an int must hash like it (see __eq__)
-        if self._terms.keys() <= {1}:
-            return hash(self._terms.get(1, 0))
-        return hash(frozenset(self._terms.items()))
+        if self._hash is None:  # computed on first use, then kept
+            # a sum equal to an int must hash like it (see __eq__)
+            if self._terms.keys() <= {1}:
+                self._hash = hash(self._terms.get(1, 0))
+            else:
+                self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
 
     def __lt__(self, other: "RadicalSum") -> bool:
         return self.compare(other) < 0

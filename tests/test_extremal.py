@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from somborlab import extremal, formulas, indices, radicals
-from somborlab.enumeration import enumerate_two_trees
+from somborlab.enumeration import EnumLevel, enumerate_levels, enumerate_two_trees
 from somborlab.extremal import (
     ConjectureReport,
     ExtremalReport,
@@ -13,6 +13,7 @@ from somborlab.extremal import (
     verify_theorems,
 )
 from somborlab.families import l_graph, linear_two_tree, x_graph
+from somborlab.graph6 import from_graph6, to_graph6
 from somborlab.graphs import canonical_key
 from somborlab.radicals import RadicalSum, sqrt_int
 
@@ -46,6 +47,13 @@ def test_rank_rejects_unknown_kind_or_direction():
         rank_by(5, "zagreb", "max")
     with pytest.raises(ValueError):
         rank_by(5, "so", "sideways")
+
+
+def test_rank_rejects_a_level_of_another_order():
+    level = enumerate_two_trees(7)
+    with pytest.raises(ValueError, match="order 7"):
+        rank_by(5, "so", "max", level=level)
+    assert rank_by(7, "so", "max", level=level).order == 7
 
 
 def test_verify_theorems_passes_small_range():
@@ -219,8 +227,10 @@ def test_one_index_evaluation_per_graph(monkeypatch):
     verify_theorems([5, 7, 9])
     assert len(calls) == counts[5] + counts[7] + counts[9]
     calls.clear()
+    # conjecture evaluates only what its bound cannot rule out, each graph at most once
     conjecture_report([6, 8, 9])
-    assert len(calls) == counts[6] + counts[8] + counts[9]
+    evaluated = [to_graph6(g) for g in calls]
+    assert len(evaluated) == len(set(evaluated)) < counts[6] + counts[8] + counts[9]
 
 
 def test_bound_verdicts_are_exact_at_equality(monkeypatch):
@@ -237,3 +247,61 @@ def test_bound_verdicts_are_exact_at_equality(monkeypatch):
         monkeypatch.setattr(formulas, "conjectured_min_so_exact",
                             lambda n: real(n) + (2 * n - shift) * sqrt_int(2))
         assert all(r.so_bound_holds == holds for r in conjecture_report(range(6, 10)))
+
+
+def test_zagreb_bounds_hold_exactly_with_equality_only_on_equal_degree_edges():
+    # SO >= M1/sqrt(2) and coSO <= T - M1/sqrt(2), doubled to stay integral;
+    # order 3 (the triangle) is the one two-tree that attains them
+    root2 = sqrt_int(2)
+    for level in enumerate_levels(10):
+        if level.order < 3:
+            continue
+        for g in level.graphs:
+            degrees = g.degrees()
+            zagreb = root2 * sum(d * d for d in degrees)
+            so = indices.sombor_index(g).exact
+            co = indices.sombor_coindex(g).exact
+            total = indices.total_pair_sum(g).exact
+            assert 2 * so >= zagreb and 2 * co <= 2 * total - zagreb
+            equal_degrees = all(degrees[u] == degrees[v] for u, v in g.edges())
+            assert (2 * so == zagreb) == equal_degrees == (level.order == 3)
+            assert (2 * co == 2 * total - zagreb) == equal_degrees
+
+
+def test_extremes_equal_the_ends_of_the_full_ranking():
+    for level in enumerate_levels(11):
+        if level.order < 5:
+            continue
+        so_groups, co_groups = extremal._value_groups(level)
+        min_so = radicals.sort_values(so_groups)[0]
+        max_co = radicals.sort_values(co_groups)[-1]
+        assert extremal._extremes(level) == (
+            (min_so, so_groups[min_so][0]), (max_co, co_groups[max_co][0]))
+
+
+def test_extremes_break_a_tie_by_the_smaller_key():
+    # two order-7 two-trees with one degree sequence and one index value, so
+    # they tie at both extremes of a level made of just them
+    keys = (b"FCX\\w", b"FCYZw")
+    level = EnumLevel(7, keys)
+    so_groups, co_groups = extremal._value_groups(level)
+    assert list(so_groups.values()) == [list(keys)] and list(co_groups.values()) == [list(keys)]
+    (min_so, min_key), (max_co, max_key) = extremal._extremes(level)
+    assert min_key == max_key == keys[0] == min(keys)
+    assert min_so == indices.sombor_index(from_graph6(keys[1])).exact
+    assert max_co == indices.sombor_coindex(from_graph6(keys[1])).exact
+
+
+def test_extremes_evaluate_under_one_percent_of_order_11(monkeypatch):
+    level = enumerate_two_trees(11)
+    calls = []
+    real = extremal.sombor_index
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(extremal, "sombor_index", counted)
+    extremal._extremes(level)
+    assert level.count == 2171
+    assert 0 < len(calls) < 0.01 * level.count

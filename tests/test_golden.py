@@ -106,3 +106,23 @@ def test_golden_output(name, workers, tmp_path, capsys):
     got = {"stdout": capsys.readouterr().out.encode("utf-8")}
     got.update((flag, path.read_bytes()) for flag, path in paths.items())
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == pins
+
+
+# Orders 5..13 of `conjecture`, pinned from a full exact ranking of every
+# order, which the bound-pruned extremes must reproduce byte for byte.
+CONJECTURE_13 = {
+    "--output": "9b69a580d027999310f9e45ea216d65885208a62c8cfb065f67339e52e538a62",
+    "--json": "e4de2c50a05916446264f7f4aabe3adfdc68e0166e39afae4aab00050dbbc1f2",
+    "--csv": "38fd25baa27122de427ac8eef836a201e24b2fa4c273d9d6f064055e4f6eaa91",
+}
+
+
+@pytest.mark.slow
+def test_conjecture_to_order_13_digests(tmp_path):
+    argv = ["conjecture", "--n", "5..13", "--cap", "13", "--workers", "2", "--reading", "both"]
+    paths = {flag: tmp_path / flag.lstrip("-") for flag in CONJECTURE_13}
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    assert run(argv) == 0
+    assert {flag: hashlib.sha256(path.read_bytes()).hexdigest()
+            for flag, path in paths.items()} == CONJECTURE_13

@@ -185,6 +185,25 @@ def test_hashable_by_value():
     assert len({RadicalSum.zero(), 0, RadicalSum.integer(3), 3}) == 2
 
 
+def test_hash_is_cached_and_agrees_across_constructions():
+    built = [
+        RadicalSum({1: 4, 2: 3, 5: -1}),  # checked constructor
+        sqrt_int(18) + 4 - sqrt_int(5),  # arithmetic on _unchecked objects
+        -(-(RadicalSum.integer(4) + 3 * sqrt_int(2)) + sqrt_int(5)),
+        (RadicalSum({2: 6, 5: -2}) + 8) * 1 - (RadicalSum({2: 3, 5: -1}) + 4),
+    ]
+    for value in built:
+        assert value._hash is None  # nothing is computed before first use
+        assert hash(value) == hash(built[0])
+        assert value._hash == hash(value)
+    assert len(set(built)) == 1
+    # integer-valued sums hash like their ints, also when a radical cancelled out
+    for c in (-1, 0, 7, 2**70):
+        for value in (RadicalSum.integer(c), RadicalSum({1: c}),
+                      sqrt_int(2) * 3 + c - RadicalSum({2: 3})):
+            assert value == c and hash(value) == hash(c) == value._hash
+
+
 def test_sort_values_escalates_on_pell_pairs(monkeypatch):
     # q*sqrt(2) and p from (1 + sqrt(2))^k = p + q*sqrt(2) differ by less than 1/p
     values, p, q = [], 1, 1
