@@ -40,8 +40,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph6 import from_graph6
-from .graphs import CanonicalKey, CapacityError, Graph, canonical_key, canonize_rows, is_two_tree
+from .graphs import (
+    CanonicalKey, CapacityError, Graph, canonical_key, canonize_rows, graph_of_key, is_two_tree,
+)
 
 DEFAULT_CAP = 12
 ORACLE_CAP = 7
@@ -57,7 +58,7 @@ class EnumLevel:
     @property
     def graphs(self) -> tuple[Graph, ...]:
         """The canonical forms, decoded from the keys on every access."""
-        return tuple(map(from_graph6, self.keys))
+        return tuple(map(graph_of_key, self.keys))
 
     @property
     def count(self) -> int:
@@ -90,7 +91,7 @@ def _expand_rows(parent: CanonicalKey) -> list[CanonicalKey]:
     child outranks the new vertex; duplicates among the kept are left to the
     caller's merge.
     """
-    parent_rows = from_graph6(parent)._rows
+    parent_rows = graph_of_key(parent)._rows
     n = len(parent_rows)
     ears = [x for x in range(n) if parent_rows[x].bit_count() == 2]
     out = []

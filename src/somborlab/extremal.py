@@ -14,23 +14,22 @@ than pairwise exact comparisons.  The evidence reports need only the
 minimum index and the maximum coindex, so they rank nothing: the first
 Zagreb bound ``SO >= M1/sqrt(2)``, which depends only on the degree
 histogram, rules out all but a handful of graphs per order before any is
-evaluated.  Bound verdicts are the sign of an exact gap.  A failed claim
-produces a structured diagnostic and a nonzero exit through the CLI, never
-a crash, and a run always completes every requested order first.
+evaluated, and one best-first search over the histograms finds both.
+Bound verdicts are the sign of an exact gap.  A failed claim produces a
+structured diagnostic and a nonzero exit through the CLI, never a crash,
+and a run always completes every requested order first.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import formulas
 from .enumeration import DEFAULT_CAP, EnumLevel, enumerate_levels, enumerate_two_trees
 from .families import l_graph, linear_two_tree, x_graph
-from .graph6 import from_graph6
-from .graphs import CanonicalKey, CapacityError, _graph6_rows, canonical_key
-from .indices import _histogram_total, sombor_index, total_pair_sum
+from .graphs import CanonicalKey, CapacityError, canonical_key, graph_of_key
+from .indices import Histogram, degree_histogram, histogram_total, sombor_index
 from .radicals import RadicalSum, sort_values, sqrt_int
 
 KINDS = ("so", "so-bar")
@@ -77,9 +76,9 @@ def _value_groups(level: EnumLevel) -> tuple[Groups, Groups]:
     so_groups: Groups = {}
     co_groups: Groups = {}
     for key in level.keys:
-        g = from_graph6(key)
+        g = graph_of_key(key)
         so = sombor_index(g).exact
-        co = total_pair_sum(g).exact - so
+        co = histogram_total(degree_histogram(g)) - so
         so_groups.setdefault(so, []).append(key)
         co_groups.setdefault(co, []).append(key)
     return so_groups, co_groups
@@ -101,49 +100,61 @@ def _extremes(level: EnumLevel) -> tuple[Extreme, Extreme]:
     add up to the first Zagreb index ``M1 = sum d(v)^2``, every graph has
     ``SO >= M1/sqrt(2)`` and ``coSO = T - SO <= T - M1/sqrt(2)``, where ``T``
     is the all-pairs total.  Both bounds depend only on the degree
-    histogram, so the keys are bucketed by sorted degree sequence, each
-    decoded once.  Buckets are visited best bound first and evaluated
-    whole, and the visit stops at the first bound strictly worse than the
-    best value found: no graph left can reach that value, so not even a tie
-    with a smaller key is lost.  Every bound and stop test is an exact
-    comparison, doubled to keep the coefficients integral.
+    histogram, so the keys are bucketed by histogram, each decoded once, and
+    both extremes are found by one search (:func:`_best_first`): the
+    minimum index as the largest ``-SO``, under the doubled bound
+    ``-sqrt(2)*M1``, and the maximum coindex under ``2T - sqrt(2)*M1``.
+    The bounds are doubled to keep their coefficients integral, and every
+    bound and stop test is an exact comparison.
     """
-    buckets: dict[tuple[int, ...], list[CanonicalKey]] = {}
+    buckets: dict[Histogram, list[CanonicalKey]] = {}
     for key in level.keys:
-        degrees = tuple(sorted([row.bit_count() for row in _graph6_rows(key)]))
-        buckets.setdefault(degrees, []).append(key)
-    zagreb = {seq: sum(d * d for d in seq) for seq in buckets}  # M1
-    total = {seq: _histogram_total(tuple(sorted(Counter(seq).items()))) for seq in buckets}
+        buckets.setdefault(degree_histogram(graph_of_key(key)), []).append(key)
     root2 = sqrt_int(2)
+    # sqrt(2)*M1 per histogram
+    zagreb = {hist: root2 * sum(d * d * count for d, count in hist) for hist in buckets}
     index: dict[CanonicalKey, RadicalSum] = {}  # each graph is evaluated at most once
 
     def so(key: CanonicalKey) -> RadicalSum:
         if key not in index:
-            index[key] = sombor_index(from_graph6(key)).exact
+            index[key] = sombor_index(graph_of_key(key)).exact
         return index[key]
 
-    min_so = min_key = None
-    for seq in sorted(buckets, key=zagreb.__getitem__):
-        if min_so is not None and zagreb[seq] * root2 > 2 * min_so:
-            break
-        for key in buckets[seq]:  # buckets are not in key order: a tie keeps the smaller key
-            value = so(key)
-            if min_so is None or value < min_so or (value == min_so and key < min_key):
-                min_so, min_key = value, key
+    neg_so, min_key = _best_first(buckets, lambda hist: -zagreb[hist], lambda hist, key: -so(key))
+    max_co = _best_first(
+        buckets,
+        lambda hist: 2 * histogram_total(hist) - zagreb[hist],
+        lambda hist, key: histogram_total(hist) - so(key),
+    )
+    return (-neg_so, min_key), max_co
 
-    by_bound: dict[RadicalSum, list[tuple[int, ...]]] = {}
-    for seq in buckets:
-        by_bound.setdefault(2 * total[seq] - zagreb[seq] * root2, []).append(seq)
-    max_co = max_key = None
-    for bound in sort_values(by_bound, reverse=True):
-        if max_co is not None and bound < 2 * max_co:
+
+def _best_first(
+    buckets: dict[Histogram, list[CanonicalKey]],
+    bound: Callable[[Histogram], RadicalSum],
+    value: Callable[[Histogram, CanonicalKey], RadicalSum],
+) -> Extreme:
+    """Largest ``value(hist, key)`` over the buckets, with its smallest key,
+    where ``bound(hist)`` is at least twice every value in bucket ``hist``.
+
+    Buckets are visited by descending bound and evaluated whole, and the
+    visit stops at the first bound strictly below twice the best value
+    found: no graph left can reach that value, so not even a tie with a
+    smaller key is lost.
+    """
+    by_bound: dict[RadicalSum, list[Histogram]] = {}
+    for hist in buckets:
+        by_bound.setdefault(bound(hist), []).append(hist)
+    best = best_key = None
+    for limit in sort_values(by_bound, reverse=True):
+        if best is not None and limit < 2 * best:
             break
-        for seq in by_bound[bound]:
-            for key in buckets[seq]:
-                value = total[seq] - so(key)
-                if max_co is None or value > max_co or (value == max_co and key < max_key):
-                    max_co, max_key = value, key
-    return (min_so, min_key), (max_co, max_key)
+        for hist in by_bound[limit]:
+            for key in buckets[hist]:  # keys ascend only within a bucket: a tie keeps the smaller
+                v = value(hist, key)
+                if best is None or v > best or (v == best and key < best_key):
+                    best, best_key = v, key
+    return best, best_key
 
 
 def rank_by(
@@ -293,7 +304,7 @@ def conjecture_report(
     """Exhaustive minimum index / maximum coindex evidence per order.
 
     Each order is enumerated in full, but only the graphs whose degree
-    sequence can still reach an extreme are evaluated (see
+    histogram can still reach an extreme are evaluated (see
     :func:`_extremes`); the witnesses are the smallest keys attaining the
     exact extremes, the same as in a full ranking.
     """
@@ -317,11 +328,11 @@ def conjecture_report(
             parity_label=1 if n % 2 == 0 else 2,
             min_so=min_so,
             min_so_key=min_so_key,
-            min_so_degrees=from_graph6(min_so_key).degree_sequence(),
+            min_so_degrees=graph_of_key(min_so_key).degree_sequence(),
             min_so_is_linear=min_so_key == linear_key,
             max_coindex=max_co,
             max_coindex_key=max_co_key,
-            max_coindex_degrees=from_graph6(max_co_key).degree_sequence(),
+            max_coindex_degrees=graph_of_key(max_co_key).degree_sequence(),
             max_coindex_is_linear=max_co_key == linear_key,
             same_witness=min_so_key == max_co_key,
             conjectured_so=conj_so,

@@ -4,13 +4,13 @@ The graph6 encoder is bit-exact against the published format definition:
 an order field (one byte for orders up to 62, a ``~``-prefixed 18-bit field
 above) followed by the upper triangle of the adjacency matrix in column
 order, packed into 6-bit printable characters.  The decoder validates its
-input and then reads it with the same unpacking that turns a canonical key
-back into its canonical form.
+input and then hands it to :func:`~somborlab.graphs.graph_of_key`, the one
+unchecked decoder that also turns canonical keys back into their graphs.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, _columns_of, _graph6_order, _graph6_pack, _graph6_rows
+from .graphs import Graph, _columns_of, _graph6_order, _graph6_pack, graph_of_key
 
 _HEADER = ">>graph6<<"
 
@@ -40,7 +40,7 @@ def from_graph6(text: str | bytes) -> Graph:
         raise ValueError(
             f"graph6 body has {len(raw) - start} characters, expected {groups} for order {n}"
         )
-    return Graph._from_rows(_graph6_rows(raw))
+    return graph_of_key(raw)
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

@@ -8,8 +8,9 @@ treated as immutable and may be shared freely across worker processes.
 
 The canonical key of a graph is the graph6 encoding of a canonically
 relabeled copy, so equal keys mean isomorphic graphs and every key is itself
-a valid, printable graph6 string.  Decoding a key gives the canonical form,
-so a key alone stands for its graph and nothing else needs to be stored.
+a valid, printable graph6 string.  Decoding a key (:func:`graph_of_key`)
+gives the canonical form, so a key alone stands for its graph and nothing
+else needs to be stored.
 """
 
 from __future__ import annotations
@@ -111,9 +112,6 @@ class Graph:
                 if not self._rows[u] >> v & 1:
                     out.append((u, v))
         return out
-
-    def copy(self) -> "Graph":
-        return Graph._from_rows(list(self._rows))
 
     def relabeled(self, perm: list[int]) -> "Graph":
         """Image under the vertex relabeling ``v -> perm[v]``."""
@@ -320,6 +318,11 @@ def _graph6_rows(data: bytes) -> list[int]:
     return rows
 
 
+def graph_of_key(data: bytes) -> Graph:
+    """The graph of a canonical key or other well-formed graph6 bytes, unchecked."""
+    return Graph._from_rows(_graph6_rows(data))
+
+
 def _columns_of(rows: list[int], n: int) -> list[int]:
     cols = [0] * n
     for k in range(1, n):
@@ -342,7 +345,7 @@ def canonical_key(g: Graph) -> CanonicalKey:
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of ``g``, decoded from its key."""
-    return Graph._from_rows(_graph6_rows(canonical_key(g)))
+    return graph_of_key(canonical_key(g))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -47,10 +47,11 @@ def _weight(a: int, b: int) -> RadicalSum:
 
 
 def _weighted_total(pairs: dict[tuple[int, int], int]) -> RadicalSum:
+    # pairs are keyed (da, db) with da <= db; two isolated vertices (db == 0) weigh 0
     terms: dict[int, int] = {}
     for (da, db), count in pairs.items():
-        if count:  # a degree held by one vertex pairs with itself 0 times
-            for s, c in edge_weight(da, db)._terms.items():
+        if count and db:  # a degree held by one vertex pairs with itself 0 times
+            for s, c in _weight(da, db)._terms.items():
                 terms[s] = terms.get(s, 0) + count * c
     return RadicalSum._unchecked(terms)
 
@@ -70,12 +71,21 @@ def sombor_coindex(g: Graph) -> IndexValue:
 
 def total_pair_sum(g: Graph) -> IndexValue:
     """Weight summed over all vertex pairs; equals index + coindex exactly."""
-    return IndexValue(_histogram_total(tuple(sorted(Counter(g.degrees()).items()))))
+    return IndexValue(histogram_total(degree_histogram(g)))
+
+
+Histogram = tuple[tuple[int, int], ...]
+
+
+def degree_histogram(g: Graph) -> Histogram:
+    """The ``(degree, count)`` pairs of ``g``, by ascending degree."""
+    degrees = g.degrees()
+    return tuple([(d, degrees.count(d)) for d in sorted(set(degrees))])
 
 
 @lru_cache(maxsize=None)
-def _histogram_total(hist: tuple[tuple[int, int], ...]) -> RadicalSum:
-    # the total depends only on the sorted (degree, count) histogram
+def histogram_total(hist: Histogram) -> RadicalSum:
+    """Weight summed over all vertex pairs of any graph with degree histogram ``hist``."""
     pairs = {}
     for i, (a, ha) in enumerate(hist):
         pairs[(a, a)] = ha * (ha - 1) // 2

@@ -6,19 +6,18 @@ is a nonzero integer of either sign; radicand 1 carries the plain integer
 part.  Square roots of distinct squarefree integers are linearly independent
 over the rationals, so the term map (with zero coefficients dropped) is a
 unique normal form: two sums are equal as real numbers exactly when their
-term maps coincide.  Strict order is the sign of the difference, decided by
-one integer estimate whose precision doubles until it clears its error bound.
-
-Many distinct values are sorted by :func:`sort_values` without pairwise
-comparisons: each value gets one fixed-point integer key with a certified
-error bound, keys far enough apart order their values, and only runs of
-keys too close to separate are keyed again at doubled precision.
+term maps coincide.  Strict order has one owner, :func:`sort_values`, which
+orders any number of distinct values without pairwise comparisons: each
+value gets one fixed-point integer key with a certified error bound, keys
+far enough apart order their values, and only runs of keys too close to
+separate are keyed again at doubled precision.  A single comparison is a
+sort of two values.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 _START_BITS = 64
 _MAX_BITS = 1024
@@ -122,31 +121,14 @@ class RadicalSum:
     def compare(self, other: "RadicalSum") -> int:
         """Exact three-way comparison: -1, 0 or 1, the sign of ``self - other``.
 
-        Equality falls out of the unique normal form.  Otherwise the integer
-        estimate ``sum c * isqrt(s * 4**bits)`` lies within ``sum |c|`` of
-        ``(self - other) * 2**bits``; the precision doubles until the
-        estimate clears that slack, which must happen because a nonzero
-        difference is a nonzero real.
+        Equality falls out of the unique normal form; two distinct values
+        are ordered by :func:`sort_values`.
         """
         if not isinstance(other, RadicalSum):
             raise TypeError(f"cannot compare RadicalSum with {type(other).__name__}")
-        diff = (self - other)._terms
-        if not diff:
+        if self._terms == other._terms:
             return 0
-        slack = sum(abs(c) for c in diff.values())
-        bits = _START_BITS
-        while bits <= _MAX_BITS:
-            shift = 2 * bits
-            est = sum(c * math.isqrt(s << shift) for s, c in diff.items())
-            if est + slack < 0:
-                return -1
-            if est - slack > 0:
-                return 1
-            bits *= 2
-        raise ArithmeticError(
-            "interval refinement failed to separate distinct values "
-            f"({self!r} vs {other!r})"
-        )
+        return -1 if sort_values((self, other))[0] is self else 1
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -198,9 +180,6 @@ class RadicalSum:
     def __repr__(self) -> str:
         return f"RadicalSum({self._terms!r})"
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._terms.items()))
-
 
 def sort_values(values: Iterable[RadicalSum], reverse: bool = False) -> list[RadicalSum]:
     """Pairwise distinct values in exact ascending (or, with ``reverse``,
@@ -212,8 +191,7 @@ def sort_values(values: Iterable[RadicalSum], reverse: bool = False) -> list[Rad
     values, so the key-sorted run splits at every such gap into runs that are
     ordered relative to each other.  A run of two or more values is keyed
     again at doubled precision; past ``_MAX_BITS`` the values are taken to be
-    inseparable and :class:`ArithmeticError` is raised, as in
-    :meth:`RadicalSum.compare`.
+    inseparable and :class:`ArithmeticError` is raised.
     """
     done: list[RadicalSum] = []
     _place(list(values), _START_BITS, reverse, {}, done)

@@ -16,7 +16,7 @@ from somborlab.enumeration import (
     oracle_filter_count,
 )
 from somborlab.families import l_graph, x_graph
-from somborlab.graph6 import to_graph6
+from somborlab.graph6 import from_graph6, to_graph6
 from somborlab.graphs import CapacityError, Graph, canonical_key, is_two_tree
 
 
@@ -102,12 +102,13 @@ def test_named_families_present_in_levels():
 
 
 def test_levels_are_sorted_unique_canonical():
-    for level in enumerate_levels(8):
+    for level in enumerate_levels(10):
         assert list(level.keys) == sorted(set(level.keys))
         for g, key in zip(level.graphs, level.keys):
             assert is_two_tree(g)
             assert canonical_key(g) == key
             assert to_graph6(g) == key.decode()
+            assert g == from_graph6(key)  # the unchecked key decoder agrees with the checked one
 
 
 def test_a_level_stores_only_its_keys():

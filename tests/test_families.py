@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from somborlab.families import (
     x_graph,
 )
 from somborlab.graphs import Graph, are_isomorphic, canonical_key, is_two_tree
-from somborlab.indices import sombor_index
+from somborlab.indices import degree_histogram, sombor_index
 from somborlab.radicals import RadicalSum
 
 
@@ -119,3 +120,7 @@ def test_named_families_are_two_trees():
         assert is_two_tree(linear_two_tree(n))
         if n >= 5:
             assert is_two_tree(l_graph(n))
+        family = (x_graph(n), l_graph(max(n, 5)), linear_two_tree(n), complete(n),
+                  complete_bipartite(2, n - 2))
+        for g in family:
+            assert degree_histogram(g) == tuple(sorted(Counter(g.degrees()).items()))

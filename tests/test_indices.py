@@ -5,6 +5,7 @@ import random
 import pytest
 
 from somborlab.families import TwoTreeRecipe, complete, from_recipe, random_recipe, x_graph
+from somborlab.graph6 import from_graph6
 from somborlab.graphs import Graph
 from somborlab.indices import edge_weight, sombor_coindex, sombor_index, total_pair_sum
 from somborlab.radicals import RadicalSum, sqrt_int
@@ -17,6 +18,13 @@ def test_edge_weight_normalizes():
     assert edge_weight(3, 2) == edge_weight(2, 3)
     with pytest.raises(ValueError):
         edge_weight(0, 3)
+    # an isolated vertex has no edge, but it pairs with every other vertex in
+    # the coindex: sqrt(0 + d^2) = d, and two isolated vertices weigh 0
+    one_edge = from_graph6("B_")  # one edge plus an isolated vertex
+    assert sombor_index(one_edge).exact == sqrt_int(2)
+    assert sombor_coindex(one_edge).exact == 2
+    edgeless = from_graph6("C?")
+    assert sombor_index(edgeless).exact.is_zero() and sombor_coindex(edgeless).exact.is_zero()
 
 
 def test_triangle_index():

@@ -210,13 +210,20 @@ def test_sort_values_escalates_on_pell_pairs(monkeypatch):
     for _ in range(119):
         values += [q * sqrt_int(2), RadicalSum.integer(p)]
         p, q = p + 2 * q, p + q
+    closest = values[-2:]
     random.Random(3).shuffle(values)
-    assert sort_values(values) == sorted(values)
+    ordered = sort_values(values)
+    assert ordered == sorted(values)
     assert sort_values(values, reverse=True) == sorted(values, reverse=True)
+    # a single comparison is a sort of two values, so it agrees with the sort
+    for a, b in zip(ordered, ordered[1:]):
+        assert a.compare(b) == -1 and b.compare(a) == 1
     # the starting precision alone cannot separate the close pairs
     monkeypatch.setattr(radicals, "_MAX_BITS", radicals._START_BITS)
     with pytest.raises(ArithmeticError):
         sort_values(values)
+    with pytest.raises(ArithmeticError):
+        closest[0].compare(closest[1])
 
 
 def test_sort_values_agrees_with_sorted_on_random_sums():
