@@ -29,7 +29,9 @@ from . import formulas
 from .enumeration import DEFAULT_CAP, EnumLevel, enumerate_levels, enumerate_two_trees
 from .families import l_graph, linear_two_tree, x_graph
 from .graphs import CanonicalKey, CapacityError, canonical_key, graph_of_key
-from .indices import Histogram, degree_histogram, histogram_total, sombor_index
+from .indices import (
+    Histogram, _histogram, _index_total, degree_histogram, histogram_total, sombor_index,
+)
 from .radicals import RadicalSum, sort_values, sqrt_int
 
 KINDS = ("so", "so-bar")
@@ -67,18 +69,20 @@ Groups = dict[RadicalSum, list[CanonicalKey]]
 def _value_groups(level: EnumLevel) -> tuple[Groups, Groups]:
     """Keys grouped by exact index and by exact coindex, groups unordered.
 
-    Each graph is decoded from its key in turn and evaluated once: its
-    coindex is the all-pairs total minus its index.  The normal form of a
-    value is unique, so each group is one exact tie set; level keys arrive
-    sorted, so each group lists its keys in level order.  Only the first
-    graph with a value keeps that value object.
+    Each graph is decoded from its key in turn and evaluated once, from one
+    degree list: its coindex is the all-pairs total of its degree histogram
+    minus its index.  The normal form of a value is unique, so each group is
+    one exact tie set; level keys arrive sorted, so each group lists its keys
+    in level order.  Only the first graph with a value keeps that value
+    object.
     """
     so_groups: Groups = {}
     co_groups: Groups = {}
     for key in level.keys:
         g = graph_of_key(key)
-        so = sombor_index(g).exact
-        co = histogram_total(degree_histogram(g)) - so
+        degrees = g.degrees()
+        so = _index_total(g, degrees)
+        co = histogram_total(_histogram(degrees)) - so
         so_groups.setdefault(so, []).append(key)
         co_groups.setdefault(co, []).append(key)
     return so_groups, co_groups

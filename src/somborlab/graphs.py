@@ -177,95 +177,182 @@ def is_two_tree(g: Graph) -> bool:
 
 # -- canonical labeling ----------------------------------------------------
 #
-# Vertices are first colored by an iterated, order-invariant refinement
-# (degree, then multisets of neighbor colors, with fresh colors assigned by
-# sorting signatures so isomorphic graphs color correspondingly).  The key is
-# then the lexicographically smallest packed upper-triangle bitstring over
-# all vertex orderings that list color classes in ascending color order.
-# The search walks positions left to right; at each position only candidates
-# achieving the minimal next column can lead to the minimum, interchangeable
-# twins are collapsed, and whole subtrees are pruned against the best string
-# found so far.
+# Vertices are first colored by an iterated, order-invariant refinement:
+# degree first, then each round splits every color class by the sorted tuple
+# of its vertices' neighbor colors, and the subclasses take the old class's
+# slot in the color order, ordered by tuple.  So a new color is the rank of
+# ``(color, sorted neighbor colors)`` over the whole graph, and isomorphic
+# graphs color correspondingly.  The rounds run cell-locally: a class is
+# labeled by its first position in the ordered partition, so a split moves
+# only the vertices of its later subclasses, and a round re-signs only the
+# classes that hold a neighbor of a moved vertex, because no other class can
+# split.  Positions order the classes as ranks do, so every tuple comparison,
+# every split and therefore every final color (the rank of its class) is the
+# one a global round would give.  Refinement stops when the partition is
+# discrete or a round splits nothing.
+#
+# The key is then the lexicographically smallest packed upper-triangle
+# bitstring over all vertex orderings that list color classes in ascending
+# color order.  When every class is a set of mutual twins (each class a
+# single vertex, in particular), any two such orderings differ by an
+# automorphism, so they all give one string: the search below would collapse
+# every class to one candidate and visit one leaf, and the columns are read
+# off that ordering directly.  Otherwise the search walks positions left to
+# right.  Each vertex keeps a position mask, with bit ``n - 1 - i`` set when
+# it is adjacent to the vertex placed at position ``i``: a candidate's column
+# at position ``k`` is its mask shifted down by ``n - k``, and placing a
+# vertex updates only its neighbors' masks.  At each position only
+# candidates achieving the minimal next column can lead to the minimum,
+# interchangeable twins are collapsed, and whole subtrees are pruned against
+# the best string found so far.
 
 
-def _color_ranks(values: list) -> list[int]:
-    rank = {v: i for i, v in enumerate(sorted(set(values)))}
-    return [rank[v] for v in values]
+def _neighbor_lists(rows: list[int]) -> list[list[int]]:
+    nbrs = []
+    for row in rows:
+        nb = []
+        while row:
+            low = row & -row
+            nb.append(low.bit_length() - 1)
+            row ^= low
+        nbrs.append(nb)
+    return nbrs
 
 
-def _stable_colors(rows: list[int], n: int) -> list[int]:
-    nbrs = [list(_bits(rows[v])) for v in range(n)]
-    colors = _color_ranks([len(nb) for nb in nbrs])
-    while True:
-        color_of = colors.__getitem__
-        sigs = [(c, tuple(sorted(map(color_of, nb)))) for c, nb in zip(colors, nbrs)]
-        new = _color_ranks(sigs)
-        if new == colors:
-            return colors
-        colors = new
+def _stable_colors(nbrs: list[list[int]]) -> list[int]:
+    n = len(nbrs)
+    by_degree: dict[int, list[int]] = {}
+    for v, nb in enumerate(nbrs):
+        by_degree.setdefault(len(nb), []).append(v)
+    label = [0] * n  # a class is labeled by its first position
+    cells: dict[int, list[int]] = {}
+    at = 0
+    for d in sorted(by_degree):
+        cell = cells[at] = by_degree[d]
+        for v in cell:
+            label[v] = at
+        at += len(cell)
+    label_of = label.__getitem__
+    # the first round signs every class, later rounds only those next to a move
+    touched = [cell for cell in cells.values() if len(cell) > 1]
+    while touched:
+        splits = []
+        for cell in touched:
+            sigs = [tuple(sorted(map(label_of, nbrs[v]))) for v in cell]
+            if sigs.count(sigs[0]) < len(sigs):
+                splits.append(sorted(zip(sigs, cell)))
+        if not splits:
+            break
+        moved = []  # relabel only once every touched class is signed
+        for signed in splits:
+            sig0, v = signed[0]
+            at = start = label[v]  # the first subclass keeps the label
+            part: list[int] = []
+            for sig, v in signed:
+                if sig != sig0:
+                    cells[start] = part
+                    start += len(part)
+                    part = []
+                    sig0 = sig
+                if start != at:
+                    label[v] = start
+                    moved.append(v)
+                part.append(v)
+            cells[start] = part
+        if len(cells) == n:
+            break
+        near = {label[u] for v in moved for u in nbrs[v]}
+        touched = [cells[at] for at in near if len(cells[at]) > 1]
+    if len(cells) == n:  # discrete: the positions are the ranks
+        return label
+    rank = {at: c for c, at in enumerate(sorted(cells))}
+    return [rank[at] for at in label]
+
+
+def _twin_class(rows: list[int], cell: list[int]) -> bool:
+    """Whether every two vertices of ``cell`` are twins: all open, or all
+    closed, neighborhoods in the cell are equal."""
+    v = cell[0]
+    row, closed = rows[v], rows[v] | 1 << v
+    return all(rows[u] == row for u in cell) or all(rows[u] | 1 << u == closed for u in cell)
 
 
 def _canonical_columns(rows: list[int], n: int) -> list[int]:
-    colors = _stable_colors(rows, n)
-    ncells = max(colors) + 1
-    cells = [[v for v in range(n) if colors[v] == c] for c in range(ncells)]
-    cell_at: list[int] = []
-    for ci, cell in enumerate(cells):
-        cell_at.extend([ci] * len(cell))
+    nbrs = _neighbor_lists(rows)
+    colors = _stable_colors(nbrs)
+    top = n - 1
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for v in range(n):
+        cells[colors[v]].append(v)
+    if all(len(cell) == 1 or _twin_class(rows, cell) for cell in cells):
+        # twin collapse leaves one ordering: the cells in turn, each by vertex
+        order = [v for cell in cells for v in cell]
+        at = [0] * n
+        for k, v in enumerate(order):
+            at[v] = k
+        columns = []
+        for k, v in enumerate(order):
+            mask = 0
+            for u in nbrs[v]:
+                mask |= 1 << top - at[u]
+            columns.append(mask >> n - k)
+        return columns
+    cell_at = sorted(colors)
 
     best: list[int] | None = None
     version = 0
-    placed: list[int] = []
     cols: list[int] = []
+    pos = [0] * n  # bit top - i set: adjacent to the vertex at position i
     used = 0
 
-    def dfs(tight: bool) -> None:
+    def dfs(k: int, tight: bool) -> None:
         nonlocal best, version, used
-        k = len(placed)
         if k == n:
             if best is None or cols < best:
                 best = cols.copy()
                 version += 1
             return
-        scored = []
-        for v in cells[cell_at[k]]:
-            if used >> v & 1:
-                continue
-            rv = rows[v]
-            col = 0
-            for p in placed:
-                col = col << 1 | (rv >> p & 1)
-            scored.append((col, v))
-        mincol = min(c for c, _ in scored)
+        shift = n - k
+        cands = [v for v in cells[cell_at[k]] if not used >> v & 1]
+        if len(cands) == 1:  # forced: no minimum or twins to look for
+            reps = cands
+            mincol = pos[cands[0]] >> shift
+        else:
+            scored = [(pos[v] >> shift, v) for v in cands]
+            mincol = min(scored)[0]
         if tight and best is not None:
             if mincol > best[k]:
                 return
             subtight = mincol == best[k]
         else:
             subtight = False
-        # collapse twins: candidates identically wired to everything else
-        reps: list[int] = []
-        for c, v in scored:
-            if c != mincol:
-                continue
-            for u in reps:
-                if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
-                    break
-            else:
-                reps.append(v)
+        if len(cands) > 1:
+            # collapse twins: candidates identically wired to everything else
+            reps = []
+            for c, v in scored:
+                if c != mincol:
+                    continue
+                for u in reps:
+                    if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
+                        break
+                else:
+                    reps.append(v)
+        bit = 1 << top - k
         myversion = version
+        cols.append(mincol)
         for v in reps:
-            placed.append(v)
             used |= 1 << v
-            cols.append(mincol)
+            for u in nbrs[v]:
+                pos[u] |= bit
             # a best found under an earlier sibling passed through this very
             # column, so later siblings compare tight against it
-            dfs(subtight or version != myversion)
-            placed.pop()
-            used &= ~(1 << v)
-            cols.pop()
+            dfs(k + 1, subtight or version != myversion)
+            for u in nbrs[v]:
+                pos[u] ^= bit
+            used ^= 1 << v
+        cols.pop()
 
-    dfs(False)
+    dfs(0, False)
     assert best is not None
     return best
 

@@ -57,12 +57,16 @@ def _weighted_total(pairs: dict[tuple[int, int], int]) -> RadicalSum:
 
 
 def sombor_index(g: Graph) -> IndexValue:
-    degs = g.degrees()
+    return IndexValue(_index_total(g, g.degrees()))
+
+
+def _index_total(g: Graph, degrees: list[int]) -> RadicalSum:
+    """The index of ``g``, whose degrees by vertex id are ``degrees``."""
     pairs = Counter()
     for u, v in g.edges():
-        a, b = degs[u], degs[v]
+        a, b = degrees[u], degrees[v]
         pairs[(a, b) if a <= b else (b, a)] += 1
-    return IndexValue(_weighted_total(pairs))
+    return _weighted_total(pairs)
 
 
 def sombor_coindex(g: Graph) -> IndexValue:
@@ -79,7 +83,10 @@ Histogram = tuple[tuple[int, int], ...]
 
 def degree_histogram(g: Graph) -> Histogram:
     """The ``(degree, count)`` pairs of ``g``, by ascending degree."""
-    degrees = g.degrees()
+    return _histogram(g.degrees())
+
+
+def _histogram(degrees: list[int]) -> Histogram:
     return tuple([(d, degrees.count(d)) for d in sorted(set(degrees))])
 
 

@@ -14,7 +14,7 @@ from somborlab.extremal import (
 )
 from somborlab.families import l_graph, linear_two_tree, x_graph
 from somborlab.graph6 import from_graph6, to_graph6
-from somborlab.graphs import canonical_key
+from somborlab.graphs import Graph, canonical_key
 from somborlab.radicals import RadicalSum, sqrt_int
 
 
@@ -215,17 +215,25 @@ def test_rank_by_with_forced_rekeying_matches_default(monkeypatch):
 def test_one_index_evaluation_per_graph(monkeypatch):
     counts = {n: enumerate_two_trees(n).count for n in range(5, 10)}
     calls = []
-    real = indices.sombor_index
+    real = indices._index_total
+    degree_lists = []
+    real_degrees = Graph.degrees
 
-    def counted(g):
+    def counted(g, degrees):
         calls.append(g)
-        return real(g)
+        return real(g, degrees)
 
-    # both bindings, so an index evaluated again inside the coindex is counted
-    monkeypatch.setattr(indices, "sombor_index", counted)
-    monkeypatch.setattr(extremal, "sombor_index", counted)
+    def counted_degrees(g):
+        degree_lists.append(g)
+        return real_degrees(g)
+
+    # both bindings of the evaluation that sombor_index wraps, so an index
+    # evaluated again inside the coindex is counted
+    monkeypatch.setattr(indices, "_index_total", counted)
+    monkeypatch.setattr(extremal, "_index_total", counted)
+    monkeypatch.setattr(Graph, "degrees", counted_degrees)
     verify_theorems([5, 7, 9])
-    assert len(calls) == counts[5] + counts[7] + counts[9]
+    assert len(calls) == len(degree_lists) == counts[5] + counts[7] + counts[9]
     calls.clear()
     # conjecture evaluates only what its bound cannot rule out, each graph at most once
     conjecture_report([6, 8, 9])
@@ -290,6 +298,18 @@ def test_extremes_break_a_tie_by_the_smaller_key():
     assert min_key == max_key == keys[0] == min(keys)
     assert min_so == indices.sombor_index(from_graph6(keys[1])).exact
     assert max_co == indices.sombor_coindex(from_graph6(keys[1])).exact
+
+
+def test_best_first_visits_a_bucket_whose_bound_equals_twice_the_best():
+    # the first bucket visited sets the best value; the next bound is exactly
+    # twice it, and that bucket attains its bound with a smaller key, so a
+    # search that stopped at a bound equal to twice the best would lose the tie
+    root2 = sqrt_int(2)
+    loose, attained = ((3, 4),), ((2, 5),)
+    buckets = {attained: [b"A"], loose: [b"B"]}
+    bounds = {loose: 3 * root2, attained: 2 * root2}
+    best = extremal._best_first(buckets, bounds.__getitem__, lambda hist, key: root2)
+    assert best == (root2, b"A")
 
 
 def test_extremes_evaluate_under_one_percent_of_order_11(monkeypatch):
