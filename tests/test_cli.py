@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import pytest
 
 import somborlab
 from somborlab.cli import run
+from somborlab.graph6 import from_graph6
+from somborlab.indices import sombor_coindex, sombor_index
 
 # Expected stdout for the commands shown in the README; the integration tests
 # below compare byte-for-byte.
@@ -283,3 +286,82 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == EXPORT_K2
+
+
+# Output branches that no real order reaches (through order 12 both witnesses
+# are the linear two-tree, and the index maximizer is the coindex minimizer),
+# reached through a patched search and pinned byte for byte: stdout, the exit
+# code and the sha256 of every file.
+
+
+def _run_pinned(argv, tmp_path, capsys):
+    paths = {flag: tmp_path / f"out.{flag[2:]}" for flag in ("--json", "--csv")}
+    code = run(argv + [arg for flag, path in paths.items() for arg in (flag, str(path))])
+    files = {flag: path.read_bytes() for flag, path in paths.items()}
+    digests = {flag: hashlib.sha256(data).hexdigest() for flag, data in files.items()}
+    return code, capsys.readouterr().out, files, digests
+
+
+CONJECTURE_7_NON_LINEAR = """\
+n=7 min-SO observed=57.08634337 witness=FCX\\w degrees=5,4,4,3,2,2,2 linear=no
+n=7 min-SO conjectured=48.88329652 gap=8.203046852 bound-holds=yes
+n=7 max-coindex observed=40.59321436 witness=FKIZw degrees=5,4,3,3,3,2,2 linear=no
+n=7 max-coindex corrected=42.17071418 gap=-1.57749982 bound-holds=yes
+n=7 max-coindex literal=-1502.150496 gap=1542.74371 bound-holds=NO
+n=7 witnesses-coincide=no equality-family-parity=2
+"""
+
+
+def test_conjecture_non_linear_distinct_witnesses(tmp_path, capsys, monkeypatch):
+    from somborlab import extremal
+
+    min_key, max_key = b"FCX\\w", b"FKIZw"  # two non-linear order-7 two-trees
+    extremes = ((sombor_index(from_graph6(min_key)).exact, min_key),
+                (sombor_coindex(from_graph6(max_key)).exact, max_key))
+    monkeypatch.setattr(extremal, "_extremes", lambda level: extremes)
+    code, out, files, digests = _run_pinned(["conjecture", "--n", "7"], tmp_path, capsys)
+    assert (code, out) == (0, CONJECTURE_7_NON_LINEAR)
+    (entry,) = json.loads(files["--json"])
+    assert not entry["min_so"]["matches_linear_two_tree"]
+    assert not entry["max_coindex"]["matches_linear_two_tree"]
+    assert not entry["witnesses_coincide"]
+    assert files["--csv"].splitlines()[1].count(b",False,") == 2
+    assert digests == {
+        "--json": "efef2d29f9fa8cd4e60aab04b9ae67b2ed391beb24dd643865d3991d9ecea46c",
+        "--csv": "3f517764ca2e3e57338a007e869cfc04f5006d56c8f1978cb1d1236cacea0fcd",
+    }
+
+
+VERIFY_5_6_SPLIT = """\
+n=5 so-max: PASS witness=DF{ value=4*sqrt(2) + 12*sqrt(5) ≈ 32.48966998
+n=5 so-second-max: PASS witness=DL{ value=10 + 3*sqrt(2) + 4*sqrt(5) + 2*sqrt(13) ≈ 30.39801515
+n=5 coindex-min: FAIL witness=DL{ value=2*sqrt(2) + 2*sqrt(13) ≈ 10.03952968 [witness is DL{, expected DF{; value 2*sqrt(2) + 2*sqrt(13) != closed form 6*sqrt(2)]
+n=5 coindex-second-min: FAIL witness= value=0 ≈ 0 [ranking has only 1 tie sets]
+n=5 cross-direction: SO maximizer and coindex minimizer differ (DF{ vs DL{)
+n=6 so-max: PASS witness=E?~w value=5*sqrt(2) + 8*sqrt(29) ≈ 50.15238627
+n=6 so-second-max: PASS witness=EC^w value=5 + 4*sqrt(5) + sqrt(13) + 3*sqrt(29) + sqrt(34) + sqrt(41) ≈ 45.93939374
+n=6 coindex-min: FAIL witness=EC^w value=6*sqrt(2) + 2*sqrt(5) + 2*sqrt(13) ≈ 20.16851988 [witness is EC^w, expected E?~w; value 6*sqrt(2) + 2*sqrt(5) + 2*sqrt(13) != closed form 12*sqrt(2)]
+n=6 coindex-second-min: FAIL witness=EKNw value=5*sqrt(2) + 4*sqrt(13) ≈ 21.49327291 [witness is EKNw, expected EC^w; value 5*sqrt(2) + 4*sqrt(13) != closed form 6*sqrt(2) + 2*sqrt(5) + 2*sqrt(13)]
+n=6 cross-direction: SO maximizer and coindex minimizer differ (E?~w vs EC^w)
+claims: 8, failed: 4
+"""
+
+
+def test_verify_split_extremes(tmp_path, capsys, monkeypatch):
+    from somborlab import extremal, radicals
+
+    real = extremal._value_groups
+
+    def split(level):  # drop the coindex minimum, so the two tops differ
+        so_groups, co_groups = real(level)
+        del co_groups[radicals.sort_values(co_groups)[0]]
+        return so_groups, co_groups
+
+    monkeypatch.setattr(extremal, "_value_groups", split)
+    code, out, files, digests = _run_pinned(["verify-theorems", "--n", "5..6"], tmp_path, capsys)
+    assert (code, out) == (1, VERIFY_5_6_SPLIT)
+    assert [entry["extremes_coincide"] for entry in json.loads(files["--json"])] == [False, False]
+    assert digests == {
+        "--json": "644fcd33cfd7e47ec60c6e88ffeab660a37090e80a664e76e75751ae7135741e",
+        "--csv": "d2c34baa27521a13893b6e54e84e5c3e9a87e97dcacef696e0826b0788b88619",
+    }
