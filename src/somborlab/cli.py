@@ -243,71 +243,62 @@ def _cmd_check_lemmas(args) -> int:
     return 1 if all_violations or anchor_failures else 0
 
 
+def _observed_line(n: int, extreme: str, w) -> str:
+    return (f"n={n} {extreme} observed={_fmt_float(float(w.value))} "
+            f"witness={w.key.decode('ascii')} degrees={','.join(map(str, w.degrees))} "
+            f"linear={'yes' if w.is_linear else 'no'}")
+
+
+def _bound_line(n: int, extreme: str, label: str, b, fails: str = "NO") -> str:
+    return (f"n={n} {extreme} {label}={_fmt_float(b.conjectured)} gap={_fmt_float(b.gap)} "
+            f"bound-holds={'yes' if b.holds else fails}")
+
+
 def _conjecture_lines(report: ConjectureReport, reading: str) -> list[str]:
+    n = report.order
     lines = [
-        f"n={report.order} min-SO observed={_fmt_float(float(report.min_so))} "
-        f"witness={report.min_so_key.decode('ascii')} degrees={','.join(map(str, report.min_so_degrees))} "
-        f"linear={'yes' if report.min_so_is_linear else 'no'}",
+        _observed_line(n, "min-SO", report.min_so),
+        _bound_line(n, "min-SO", "conjectured", report.so_bound,
+                    "NO (observed minimum is below the conjectured bound)"),
+        _observed_line(n, "max-coindex", report.max_coindex),
     ]
-    lines.append(
-        f"n={report.order} min-SO conjectured={_fmt_float(report.conjectured_so)} "
-        f"gap={_fmt_float(report.so_gap)} "
-        f"bound-holds={'yes' if report.so_bound_holds else 'NO (observed minimum is below the conjectured bound)'}"
-    )
-    lines.append(
-        f"n={report.order} max-coindex observed={_fmt_float(float(report.max_coindex))} "
-        f"witness={report.max_coindex_key.decode('ascii')} degrees={','.join(map(str, report.max_coindex_degrees))} "
-        f"linear={'yes' if report.max_coindex_is_linear else 'no'}"
-    )
-    if reading in ("corrected", "both"):
-        lines.append(
-            f"n={report.order} max-coindex corrected={_fmt_float(report.conjectured_coindex_corrected)} "
-            f"gap={_fmt_float(report.coindex_gap_corrected)} "
-            f"bound-holds={'yes' if report.coindex_bound_holds_corrected else 'NO'}"
-        )
-    if reading in ("literal", "both"):
-        lines.append(
-            f"n={report.order} max-coindex literal={_fmt_float(report.conjectured_coindex_literal)} "
-            f"gap={_fmt_float(report.coindex_gap_literal)} "
-            f"bound-holds={'yes' if report.coindex_bound_holds_literal else 'NO'}"
-        )
-    lines.append(
-        f"n={report.order} witnesses-coincide={'yes' if report.same_witness else 'no'} "
-        f"equality-family-parity={report.parity_label}"
-    )
+    lines.extend(_bound_line(n, "max-coindex", name, b)
+                 for name, b in zip(formulas.READINGS, report.coindex_bounds)
+                 if reading in (name, "both"))
+    lines.append(f"n={n} witnesses-coincide={'yes' if report.same_witness else 'no'} "
+                 f"equality-family-parity={report.parity_label}")
     return lines
 
 
-def _conjecture_json(reports: list[ConjectureReport]) -> list[dict]:
-    return [
-        {
-            "order": r.order,
-            "equality_family_parity": r.parity_label,
-            "min_so": {
-                "observed": _value_json(r.min_so),
-                "graph6": r.min_so_key.decode("ascii"),
-                "degree_sequence": list(r.min_so_degrees),
-                "matches_linear_two_tree": r.min_so_is_linear,
-                "conjectured": r.conjectured_so,
-                "gap": r.so_gap,
-                "bound_holds": r.so_bound_holds,
-            },
-            "max_coindex": {
-                "observed": _value_json(r.max_coindex),
-                "graph6": r.max_coindex_key.decode("ascii"),
-                "degree_sequence": list(r.max_coindex_degrees),
-                "matches_linear_two_tree": r.max_coindex_is_linear,
-                "conjectured_corrected": r.conjectured_coindex_corrected,
-                "gap_corrected": r.coindex_gap_corrected,
-                "bound_holds_corrected": r.coindex_bound_holds_corrected,
-                "conjectured_literal": r.conjectured_coindex_literal,
-                "gap_literal": r.coindex_gap_literal,
-                "bound_holds_literal": r.coindex_bound_holds_literal,
-            },
-            "witnesses_coincide": r.same_witness,
-        }
-        for r in reports
-    ]
+def _witness_json(w) -> dict:
+    return {
+        "observed": _value_json(w.value),
+        "graph6": w.key.decode("ascii"),
+        "degree_sequence": list(w.degrees),
+        "matches_linear_two_tree": w.is_linear,
+    }
+
+
+def _bound_json(b, suffix: str = "") -> dict:
+    return {f"conjectured{suffix}": b.conjectured, f"gap{suffix}": b.gap,
+            f"bound_holds{suffix}": b.holds}
+
+
+def _conjecture_json(r: ConjectureReport) -> dict:
+    max_coindex = _witness_json(r.max_coindex)
+    for name, b in zip(formulas.READINGS, r.coindex_bounds):
+        max_coindex.update(_bound_json(b, f"_{name}"))
+    return {
+        "order": r.order,
+        "equality_family_parity": r.parity_label,
+        "min_so": {**_witness_json(r.min_so), **_bound_json(r.so_bound)},
+        "max_coindex": max_coindex,
+        "witnesses_coincide": r.same_witness,
+    }
+
+
+def _witness_cells(w) -> list:
+    return [str(w.value), _fmt_float(float(w.value)), w.key.decode("ascii"), w.is_linear]
 
 
 def _cmd_conjecture(args) -> int:
@@ -317,7 +308,7 @@ def _cmd_conjecture(args) -> int:
         lines.extend(_conjecture_lines(report, args.reading))
     _emit("".join(line + "\n" for line in lines), args.output)
     if args.json:
-        _write_json(_conjecture_json(reports), args.json)
+        _write_json([_conjecture_json(r) for r in reports], args.json)
     if args.csv:
         _write_csv(args.csv, [
             "order", "min_so_exact", "min_so_approx", "min_so_graph6", "min_so_linear",
@@ -326,15 +317,10 @@ def _cmd_conjecture(args) -> int:
             "max_coindex_linear", "conjectured_coindex_corrected", "coindex_gap_corrected",
             "conjectured_coindex_literal", "coindex_gap_literal",
         ], ([
-            r.order, str(r.min_so), _fmt_float(float(r.min_so)),
-            r.min_so_key.decode("ascii"), r.min_so_is_linear,
-            _fmt_float(r.conjectured_so), _fmt_float(r.so_gap), r.so_bound_holds,
-            str(r.max_coindex), _fmt_float(float(r.max_coindex)),
-            r.max_coindex_key.decode("ascii"), r.max_coindex_is_linear,
-            _fmt_float(r.conjectured_coindex_corrected),
-            _fmt_float(r.coindex_gap_corrected),
-            _fmt_float(r.conjectured_coindex_literal),
-            _fmt_float(r.coindex_gap_literal),
+            r.order, *_witness_cells(r.min_so),
+            _fmt_float(r.so_bound.conjectured), _fmt_float(r.so_bound.gap), r.so_bound.holds,
+            *_witness_cells(r.max_coindex),
+            *(_fmt_float(x) for b in r.coindex_bounds for x in (b.conjectured, b.gap)),
         ] for r in reports))
     return 0
 
@@ -406,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture",
                        help="evidence report for the open min-index/max-coindex bounds")
     common(p)
-    p.add_argument("--reading", choices=("corrected", "literal", "both"), default="both",
+    p.add_argument("--reading", choices=(*formulas.READINGS, "both"), default="both",
                    help="which reading of the conjectured coindex bound to print")
     p.add_argument("--json", help="write the reports as JSON")
     p.add_argument("--csv", help="write the reports as CSV")

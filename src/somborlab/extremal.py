@@ -15,9 +15,11 @@ minimum index and the maximum coindex, so they rank nothing: the first
 Zagreb bound ``SO >= M1/sqrt(2)``, which depends only on the degree
 histogram, rules out all but a handful of graphs per order before any is
 evaluated, and one best-first search over the histograms finds both.
-Bound verdicts are the sign of an exact gap.  A failed claim produces a
-structured diagnostic and a nonzero exit through the CLI, never a crash,
-and a run always completes every requested order first.
+A report holds the two extremes as witnesses and checks them against the
+index bound and each reading of the coindex bound; each check keeps a float
+gap for display beside its verdict, the sign of the exact gap.  A failed
+claim produces a structured diagnostic and a nonzero exit through the CLI,
+never a crash, and a run always completes every requested order first.
 """
 
 from __future__ import annotations
@@ -267,37 +269,55 @@ def verify_theorems(
 
 
 @dataclass(frozen=True)
+class Witness:
+    """One observed extreme: its exact value, the smallest key attaining
+    it, that graph's degree sequence and whether it is the linear two-tree."""
+
+    value: RadicalSum
+    key: CanonicalKey
+    degrees: tuple[int, ...]
+    is_linear: bool
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    """An observed extreme against one conjectured bound.
+
+    ``gap`` is ``observed - conjectured`` in floats, for display; ``holds``
+    is the exact verdict.
+    """
+
+    conjectured: float
+    gap: float
+    holds: bool
+
+
+@dataclass(frozen=True)
 class ConjectureReport:
     """Observed extremes vs the conjectured bounds at one order.
 
-    Gaps are ``observed - conjectured`` in floats, for display.  The
-    verdicts are exact: the conjectured index lower bound holds when the
-    exact gap is >= 0, the conjectured coindex upper bound holds when it is
-    <= 0 (the corrected coindex gap is exactly 0 from order 6 on).  Nothing
-    here asserts the bounds; orders where they conflict with the exhaustive
-    extremes are simply flagged.
+    The conjectured index lower bound holds when the exact gap is >= 0, the
+    conjectured coindex upper bound holds when it is <= 0 (the corrected
+    coindex gap is exactly 0 from order 6 on); each :class:`BoundCheck`
+    keeps its float gap next to the exact verdict.  Nothing here asserts
+    the bounds; orders where they conflict with the exhaustive extremes are
+    simply flagged.
     """
 
     order: int
-    parity_label: int  # 1 when the order is even, 2 when odd
-    min_so: RadicalSum
-    min_so_key: CanonicalKey
-    min_so_degrees: tuple[int, ...]
-    min_so_is_linear: bool
-    max_coindex: RadicalSum
-    max_coindex_key: CanonicalKey
-    max_coindex_degrees: tuple[int, ...]
-    max_coindex_is_linear: bool
-    same_witness: bool
-    conjectured_so: float
-    so_gap: float
-    so_bound_holds: bool
-    conjectured_coindex_corrected: float
-    coindex_gap_corrected: float
-    coindex_bound_holds_corrected: bool
-    conjectured_coindex_literal: float
-    coindex_gap_literal: float
-    coindex_bound_holds_literal: bool
+    min_so: Witness
+    max_coindex: Witness
+    so_bound: BoundCheck
+    coindex_bounds: tuple[BoundCheck, ...]  # one per formulas.READINGS, in order
+
+    @property
+    def parity_label(self) -> int:
+        """1 when the order is even, 2 when odd."""
+        return 1 if self.order % 2 == 0 else 2
+
+    @property
+    def same_witness(self) -> bool:
+        return self.min_so.key == self.max_coindex.key
 
 
 def conjecture_report(
@@ -317,38 +337,29 @@ def conjecture_report(
         return []
     if wanted[0] < 5:
         raise ValueError(f"conjecture reports start at order 5, got {wanted[0]}")
+
+    def check(observed: RadicalSum, conjectured: float, holds: bool) -> BoundCheck:
+        return BoundCheck(conjectured, float(observed) - conjectured, holds)
+
     out: list[ConjectureReport] = []
     for level in enumerate_levels(wanted[-1], cap=cap, workers=workers):
         n = level.order
         if n not in wanted:
             continue
-        (min_so, min_so_key), (max_co, max_co_key) = _extremes(level)
         linear_key = canonical_key(linear_two_tree(n))
-        conj_so = formulas.conjectured_min_so(n)
-        conj_co_c = formulas.conjectured_max_coindex(n, "corrected")
-        conj_co_l = formulas.conjectured_max_coindex(n, "literal")
+
+        def witness(value: RadicalSum, key: CanonicalKey) -> Witness:
+            return Witness(value, key, graph_of_key(key).degree_sequence(), key == linear_key)
+
+        (min_so, min_so_key), (max_co, max_co_key) = _extremes(level)
         out.append(ConjectureReport(
-            order=n,
-            parity_label=1 if n % 2 == 0 else 2,
-            min_so=min_so,
-            min_so_key=min_so_key,
-            min_so_degrees=graph_of_key(min_so_key).degree_sequence(),
-            min_so_is_linear=min_so_key == linear_key,
-            max_coindex=max_co,
-            max_coindex_key=max_co_key,
-            max_coindex_degrees=graph_of_key(max_co_key).degree_sequence(),
-            max_coindex_is_linear=max_co_key == linear_key,
-            same_witness=min_so_key == max_co_key,
-            conjectured_so=conj_so,
-            so_gap=float(min_so) - conj_so,
-            so_bound_holds=min_so >= formulas.conjectured_min_so_exact(n),
-            conjectured_coindex_corrected=conj_co_c,
-            coindex_gap_corrected=float(max_co) - conj_co_c,
-            coindex_bound_holds_corrected=(
-                max_co <= formulas.conjectured_max_coindex_exact(n, "corrected")),
-            conjectured_coindex_literal=conj_co_l,
-            coindex_gap_literal=float(max_co) - conj_co_l,
-            coindex_bound_holds_literal=(
-                max_co <= formulas.conjectured_max_coindex_exact(n, "literal")),
+            n,
+            witness(min_so, min_so_key),
+            witness(max_co, max_co_key),
+            check(min_so, formulas.conjectured_min_so(n),
+                  min_so >= formulas.conjectured_min_so_exact(n)),
+            tuple(check(max_co, formulas.conjectured_max_coindex(n, reading),
+                        max_co <= formulas.conjectured_max_coindex_exact(n, reading))
+                  for reading in formulas.READINGS),
         ))
     return out

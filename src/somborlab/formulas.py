@@ -207,6 +207,17 @@ def lemma_sweep(
 # -- conjectured bounds --------------------------------------------------------
 
 
+READINGS = ("corrected", "literal")  # of the conjectured coindex bound
+
+
+def _check_bound(n: int, name: str, reading: str = READINGS[0]) -> None:
+    """The one check of a conjectured bound's order and reading."""
+    if n < 5:
+        raise ValueError(f"{name} is reported for orders >= 5, got {n}")
+    if reading not in READINGS:
+        raise ValueError(f"reading must be {' or '.join(map(repr, READINGS))}, got {reading!r}")
+
+
 def conjectured_min_so(n: int) -> float:
     """Conjectured lower bound on the Sombor index over two-trees of order n.
 
@@ -214,8 +225,7 @@ def conjectured_min_so(n: int) -> float:
     without a validity range, and the per-order evidence reports expose
     where it conflicts with the exhaustive minimum (it does at order 5).
     """
-    if n < 5:
-        raise ValueError(f"conjectured_min_so is reported for orders >= 5, got {n}")
+    _check_bound(n, "conjectured_min_so")
     return 6 * _SQRT2 * n + 2 * _SQRT13 + 4 * _SQRT5 + 20 - 33 * _SQRT2
 
 
@@ -228,20 +238,17 @@ def conjectured_max_coindex(n: int, reading: str = "corrected") -> float:
     ``(10 - 26*sqrt(2) + 4*sqrt(5)) * n``.  The literal reading stays
     available for comparison; reports carry both and assert neither.
     """
-    if n < 5:
-        raise ValueError(f"conjectured_max_coindex is reported for orders >= 5, got {n}")
-    tail = 89 * _SQRT2 + 2 * _SQRT13 - 20 * _SQRT5 - 60
-    if reading == "corrected":
-        return 2 * _SQRT2 * n * n + (10 - 26 * _SQRT2 + 4 * _SQRT5) * n + tail
+    _check_bound(n, "conjectured_max_coindex", reading)
     if reading == "literal":
-        return 2 * _SQRT2 * n * n + (10 - 26 * _SQRT2 * n + 4 * _SQRT5) * n + tail
-    raise ValueError(f"reading must be 'corrected' or 'literal', got {reading!r}")
+        linear = 10 - 26 * _SQRT2 * n + 4 * _SQRT5
+    else:
+        linear = 10 - 26 * _SQRT2 + 4 * _SQRT5
+    return 2 * _SQRT2 * n * n + linear * n + (89 * _SQRT2 + 2 * _SQRT13 - 20 * _SQRT5 - 60)
 
 
 def conjectured_min_so_exact(n: int) -> RadicalSum:
     """:func:`conjectured_min_so` as an exact sum: ``20 + (6n-33)sqrt(2) + 4sqrt(5) + 2sqrt(13)``."""
-    if n < 5:
-        raise ValueError(f"conjectured_min_so is reported for orders >= 5, got {n}")
+    _check_bound(n, "conjectured_min_so")
     return RadicalSum({1: 20, 2: 6 * n - 33, 5: 4, 13: 2})
 
 
@@ -252,12 +259,6 @@ def conjectured_max_coindex_exact(n: int, reading: str = "corrected") -> Radical
     with ``a = 2n^2 - 26n + 89`` when corrected and ``a = 89 - 24n^2`` when
     literal.
     """
-    if n < 5:
-        raise ValueError(f"conjectured_max_coindex is reported for orders >= 5, got {n}")
-    if reading == "corrected":
-        root2 = 2 * n * n - 26 * n + 89
-    elif reading == "literal":
-        root2 = 89 - 24 * n * n
-    else:
-        raise ValueError(f"reading must be 'corrected' or 'literal', got {reading!r}")
+    _check_bound(n, "conjectured_max_coindex", reading)
+    root2 = 89 - 24 * n * n if reading == "literal" else 2 * n * n - 26 * n + 89
     return RadicalSum({1: 10 * n - 60, 2: root2, 5: 4 * n - 20, 13: 2})

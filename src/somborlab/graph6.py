@@ -10,14 +10,17 @@ unchecked decoder that also turns canonical keys back into their graphs.
 
 from __future__ import annotations
 
-from .graphs import Graph, _columns_of, _graph6_order, _graph6_pack, graph_of_key
+from .graphs import (
+    Graph, _graph6_order, _graph6_pack, _neighbor_lists, _ordered_columns, graph_of_key,
+)
 
 _HEADER = ">>graph6<<"
 
 
 def to_graph6(g: Graph) -> str:
     """Encode ``g`` exactly as labeled (no canonicalization)."""
-    return _graph6_pack(g.order, _columns_of(g._rows, g.order)).decode("ascii")
+    columns = _ordered_columns(_neighbor_lists(g._rows), range(g.order))
+    return _graph6_pack(g.order, columns).decode("ascii")
 
 
 def from_graph6(text: str | bytes) -> Graph:

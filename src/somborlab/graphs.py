@@ -277,6 +277,24 @@ def _twin_class(rows: list[int], cell: list[int]) -> bool:
     return all(rows[u] == row for u in cell) or all(rows[u] | 1 << u == closed for u in cell)
 
 
+def _ordered_columns(nbrs: list[list[int]], order) -> list[int]:
+    """graph6 columns of the graph listed in ``order``: column ``k`` has bit
+    ``k - 1 - i`` set when the vertices at positions ``i < k`` and ``k`` are
+    adjacent."""
+    n = len(nbrs)
+    top = n - 1
+    at = [0] * n
+    for k, v in enumerate(order):
+        at[v] = k
+    columns = []
+    for k, v in enumerate(order):
+        mask = 0
+        for u in nbrs[v]:
+            mask |= 1 << top - at[u]
+        columns.append(mask >> n - k)
+    return columns
+
+
 def _canonical_columns(rows: list[int], n: int) -> list[int]:
     nbrs = _neighbor_lists(rows)
     colors = _stable_colors(nbrs)
@@ -286,17 +304,7 @@ def _canonical_columns(rows: list[int], n: int) -> list[int]:
         cells[colors[v]].append(v)
     if all(len(cell) == 1 or _twin_class(rows, cell) for cell in cells):
         # twin collapse leaves one ordering: the cells in turn, each by vertex
-        order = [v for cell in cells for v in cell]
-        at = [0] * n
-        for k, v in enumerate(order):
-            at[v] = k
-        columns = []
-        for k, v in enumerate(order):
-            mask = 0
-            for u in nbrs[v]:
-                mask |= 1 << top - at[u]
-            columns.append(mask >> n - k)
-        return columns
+        return _ordered_columns(nbrs, [v for cell in cells for v in cell])
     cell_at = sorted(colors)
 
     best: list[int] | None = None
@@ -408,16 +416,6 @@ def _graph6_rows(data: bytes) -> list[int]:
 def graph_of_key(data: bytes) -> Graph:
     """The graph of a canonical key or other well-formed graph6 bytes, unchecked."""
     return Graph._from_rows(_graph6_rows(data))
-
-
-def _columns_of(rows: list[int], n: int) -> list[int]:
-    cols = [0] * n
-    for k in range(1, n):
-        col = 0
-        for i in range(k):
-            col = col << 1 | (rows[i] >> k & 1)
-        cols[k] = col
-    return cols
 
 
 def canonize_rows(rows: list[int]) -> CanonicalKey:

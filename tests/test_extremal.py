@@ -145,20 +145,32 @@ def test_rank_layer_keeps_values_and_keys_only():
             # every level key lands in exactly one tie set
             assert sorted(key for _, keys in report.groups for key in keys) == list(level.keys)
     (report,) = conjecture_report([9])
+
+    def leaves(name, value):  # into the witnesses, the bound checks and every tuple
+        if dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                yield from leaves(f"{name}.{f.name}", getattr(value, f.name))
+        elif type(value) is tuple:
+            for i, item in enumerate(value):
+                yield from leaves(f"{name}[{i}]", item)
+        else:
+            yield name, value
+
     for f in dataclasses.fields(ConjectureReport):
-        assert isinstance(getattr(report, f.name), (int, float, RadicalSum, bytes, tuple)), f.name
-    assert type(report.min_so) is RadicalSum and report.min_so_key in level.keys
-    assert type(report.max_coindex) is RadicalSum and report.max_coindex_key in level.keys
+        for name, value in leaves(f.name, getattr(report, f.name)):
+            assert isinstance(value, (int, float, RadicalSum, bytes)), name
+    assert type(report.min_so.value) is RadicalSum and report.min_so.key in level.keys
+    assert type(report.max_coindex.value) is RadicalSum and report.max_coindex.key in level.keys
 
 
 def test_conjecture_report_flags_order_5():
     (report,) = conjecture_report([5])
-    assert report.min_so_key == canonical_key(l_graph(5))
-    assert float(report.min_so) == pytest.approx(30.398, abs=1e-3)
-    assert report.conjectured_so == pytest.approx(31.913, abs=1e-3)
-    assert report.so_gap < 0
-    assert not report.so_bound_holds
-    assert report.min_so_is_linear  # order 5: the linear two-tree is that graph
+    assert report.min_so.key == canonical_key(l_graph(5))
+    assert float(report.min_so.value) == pytest.approx(30.398, abs=1e-3)
+    assert report.so_bound.conjectured == pytest.approx(31.913, abs=1e-3)
+    assert report.so_bound.gap < 0
+    assert not report.so_bound.holds
+    assert report.min_so.is_linear  # order 5: the linear two-tree is that graph
     assert report.parity_label == 2
 
 
@@ -168,10 +180,10 @@ def test_conjecture_report_order_6_exhaustive():
     linear_value = float(
         RadicalSum({1: 20, 2: 4, 5: 4, 13: 2})
     )
-    assert float(report.min_so) == pytest.approx(linear_value, abs=1e-9)
-    assert report.min_so_is_linear
-    assert report.conjectured_so == pytest.approx(40.398015148, abs=1e-6)
-    assert report.so_bound_holds
+    assert float(report.min_so.value) == pytest.approx(linear_value, abs=1e-9)
+    assert report.min_so.is_linear
+    assert report.so_bound.conjectured == pytest.approx(40.398015148, abs=1e-6)
+    assert report.so_bound.holds
     assert report.parity_label == 1
     assert report.same_witness
 
@@ -186,12 +198,12 @@ def test_conjecture_extremes_against_exact_bounds():
         corrected = RadicalSum({1: 10 * n - 60, 2: 2 * n * n - 26 * n + 89,
                                 5: 4 * n - 20, 13: 2})
         conjectured_so = RadicalSum({1: 20, 2: 6 * n - 33, 5: 4, 13: 2})
-        assert float(corrected) == pytest.approx(report.conjectured_coindex_corrected, abs=1e-9)
-        assert float(conjectured_so) == pytest.approx(report.conjectured_so, abs=1e-9)
-        excess = report.max_coindex - corrected
+        assert float(corrected) == pytest.approx(report.coindex_bounds[0].conjectured, abs=1e-9)
+        assert float(conjectured_so) == pytest.approx(report.so_bound.conjectured, abs=1e-9)
+        excess = report.max_coindex.value - corrected
         assert excess == (RadicalSum({1: 10, 2: -7}) if n == 5 else 0)  # 10 - 7*sqrt(2)
         so_gap = RadicalSum({1: -10, 2: 6}) if n == 5 else (2 * n - 11) * sqrt_int(2)
-        assert report.min_so - conjectured_so == so_gap
+        assert report.min_so.value - conjectured_so == so_gap
 
 
 def test_conjecture_report_rejects_small_orders():
@@ -245,16 +257,16 @@ def test_bound_verdicts_are_exact_at_equality(monkeypatch):
     # the corrected coindex bound is attained exactly from order 6, so its
     # float gap is rounding noise around 0 while the verdict must hold
     for report in conjecture_report(range(6, 10)):
-        assert report.max_coindex == formulas.conjectured_max_coindex_exact(report.order)
-        assert report.coindex_bound_holds_corrected
-        assert report.so_bound_holds and not report.coindex_bound_holds_literal
+        assert report.max_coindex.value == formulas.conjectured_max_coindex_exact(report.order)
+        assert report.coindex_bounds[0].holds
+        assert report.so_bound.holds and not report.coindex_bounds[1].holds
     # the minimum index is exactly (2n - 11)*sqrt(2) above the bound: raised by
     # that much the bound holds with equality, raised by sqrt(2) more it fails
     real = formulas.conjectured_min_so_exact
     for shift, holds in ((11, True), (10, False)):
         monkeypatch.setattr(formulas, "conjectured_min_so_exact",
                             lambda n: real(n) + (2 * n - shift) * sqrt_int(2))
-        assert all(r.so_bound_holds == holds for r in conjecture_report(range(6, 10)))
+        assert all(r.so_bound.holds == holds for r in conjecture_report(range(6, 10)))
 
 
 def test_zagreb_bounds_hold_exactly_with_equality_only_on_equal_degree_edges():
