@@ -126,3 +126,23 @@ def test_conjecture_to_order_13_digests(tmp_path):
     assert run(argv) == 0
     assert {flag: hashlib.sha256(path.read_bytes()).hexdigest()
             for flag, path in paths.items()} == CONJECTURE_13
+
+
+# Orders 5..13 of `verify-theorems`, the full ranking of every order included.
+VERIFY_13 = {
+    "stdout": "c1ec37ca47f5f9b5459d3cdbda2e16dad5f9c2f13d27e98e504bb1f0b418acc5",
+    "--json": "17a505ed71c3f8a58e751ebab14a279c2065077df7bfba0c30fd09134a0941a6",
+    "--csv": "6c6da9ac1b6538580b74a051f1f23f7210553715f115f39f3392308c15ac772b",
+}
+
+
+@pytest.mark.slow
+def test_verify_to_order_13_digests(tmp_path, capsys):
+    argv = ["verify-theorems", "--n", "5..13", "--cap", "13", "--workers", "2"]
+    paths = {flag: tmp_path / flag.lstrip("-") for flag in VERIFY_13 if flag != "stdout"}
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    assert run(argv) == 0
+    got = {"stdout": capsys.readouterr().out.encode("utf-8")}
+    got.update((flag, path.read_bytes()) for flag, path in paths.items())
+    assert {flag: hashlib.sha256(data).hexdigest() for flag, data in got.items()} == VERIFY_13
