@@ -16,6 +16,7 @@ import os
 import random
 import sys
 import traceback
+from json.encoder import encode_basestring
 
 from . import formulas
 from .enumeration import DEFAULT_CAP, enumerate_two_trees
@@ -154,18 +155,60 @@ def _claim_line(check) -> str:
     return line
 
 
-def _ranking_json(report: ExtremalReport) -> dict:
-    tie_sets = [[key.decode("ascii") for key in keys] for _, keys in report.groups]
-    ranking = []
-    for (value, _), tie_set in zip(report.groups, tie_sets):
-        rendered = _value_json(value)  # once per tie set
-        ranking.extend({"graph6": graph6, **rendered} for graph6 in tie_set)
-    return {
-        "direction": report.direction,
-        "count": len(ranking),
-        "ranking": ranking,
-        "tie_sets": tie_sets,
-    }
+def _write_list(fh, blocks, indent: str) -> None:
+    """A JSON list laid out as ``json.dump`` with ``indent=2`` lays it out,
+    closing at ``indent``; each block is one or more rendered items, already
+    indented and joined by ``,\\n``."""
+    fh.write("[")
+    sep = "\n"
+    for block in blocks:
+        fh.write(sep + block)
+        sep = ",\n"
+    fh.write("]" if sep == "\n" else "\n" + indent + "]")
+
+
+def _write_ranking(fh, report: ExtremalReport) -> None:
+    """The ranking of a report as a JSON object two levels deep in the
+    verify payload, byte for byte as ``json.dump`` with ``indent=2`` lays out
+    ``{"direction", "count", "ranking", "tie_sets"}``: ``ranking`` has one
+    ``{"graph6", "exact", "approx"}`` entry per graph, in rank order, and
+    ``tie_sets`` the graph6 strings of each tie set.  A tie set's value is
+    rendered once, and each tie set is written as soon as it is rendered.
+    """
+    graph6 = [[encode_basestring(key.decode("ascii")) for key in keys] for _, keys in report.groups]
+    fh.write(f'{{\n      "direction": {encode_basestring(report.direction)},\n'
+             f'      "count": {sum(map(len, graph6))},\n      "ranking": ')
+
+    def entries(value, names) -> str:
+        tail = (f',\n          "exact": {encode_basestring(str(value))},\n'
+                f'          "approx": {float.__repr__(float(value))}\n        }}')
+        return ",\n".join(f'        {{\n          "graph6": {name}{tail}' for name in names)
+
+    _write_list(fh, (entries(value, names) for (value, _), names in zip(report.groups, graph6)),
+                "      ")
+    fh.write(',\n      "tie_sets": ')
+    _write_list(fh, ("        [\n" + ",\n".join(f"          {name}" for name in names)
+                     + "\n        ]" for names in graph6), "      ")
+    fh.write("\n    }")
+
+
+def _write_verify_json(payload: list[dict], path: str) -> None:
+    """What ``_write_json`` writes for ``payload`` with each report replaced
+    by its ranking object, byte for byte: the reports are written by
+    :func:`_write_ranking`, and every other value goes through ``json``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[")
+        for i, entry in enumerate(payload):
+            fh.write(",\n  {" if i else "\n  {")
+            for j, (name, value) in enumerate(entry.items()):
+                fh.write(f'{"," if j else ""}\n    "{name}": ')
+                if isinstance(value, ExtremalReport):
+                    _write_ranking(fh, value)
+                else:
+                    fh.write(json.dumps(value, indent=2, ensure_ascii=False)
+                             .replace("\n", "\n    "))
+            fh.write("\n  }")
+        fh.write("\n]\n" if payload else "]\n")
 
 
 def _claim_json(c) -> dict:
@@ -197,8 +240,8 @@ def _cmd_verify(args) -> int:
         )
         payload.append({
             "order": so_report.order,
-            "so": _ranking_json(so_report),
-            "so_bar": _ranking_json(co_report),
+            "so": so_report,
+            "so_bar": co_report,
             "claims": [_claim_json(c) for c in checks],
             "extremes_coincide": coincide,
         })
@@ -207,7 +250,7 @@ def _cmd_verify(args) -> int:
     lines.append(f"claims: {len(claims)}, failed: {failures}")
     _emit("".join(line + "\n" for line in lines), args.output)
     if args.json:
-        _write_json(payload, args.json)
+        _write_verify_json(payload, args.json)
     if args.csv:
         _write_csv(args.csv, ["order", "claim", "expected_family", "passed",
                               "observed_graph6", "exact", "approx", "note"],

@@ -21,11 +21,24 @@ The rank is invariant, so that new vertex ranks top too and the child is
 kept.  This is the invariant-only first stage of McKay's canonical
 construction path (McKay, *Isomorph-free exhaustive generation*, 1998).
 
+The filter reads only the parent.  Growing on the edge ``uv`` raises the
+degrees of ``u`` and ``v`` and the common-neighbour count of that one pair
+by one each, and changes nothing else the rank reads: the new vertex's rank
+follows from the parent's numbers, and an ear keeps its parent rank unless
+it is adjacent to ``u`` or ``v``.  So each parent's neighbour lists, degrees
+and ear ranks are computed once, and per edge only the ears next to the
+edge are ranked again.  A kept child's rows and neighbour lists are the
+parent's with the new vertex added, and both go to the canonizer.
+
 Expansion, filter included, is a pure function of the parent, so one code
 path serves any worker count: parents are mapped in-process with one worker,
 or through a single process pool that lives for the whole run with more, and
 the deterministic sort-unique merge keeps the output independent of the
-worker count.
+worker count.  With a pool the levels are pipelined: the expansion of level
+``n + 1`` is submitted before level ``n`` is yielded, so the workers grow
+the next level while the caller works on this one, and nothing is submitted
+past the last order asked for.  With one worker a level is expanded only
+when the caller asks for it.
 
 A second, slower route (filter all labeled graphs with the right edge count)
 cross-validates the counts at small orders.
@@ -36,12 +49,12 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (
-    CanonicalKey, CapacityError, Graph, canonical_key, canonize_rows, graph_of_key, is_two_tree,
+    CanonicalKey, CapacityError, Graph, _neighbor_lists, canonical_key, canonize_rows, graph_of_key,
+    is_two_tree,
 )
 
 DEFAULT_CAP = 12
@@ -89,35 +102,63 @@ def _expand_rows(parent: CanonicalKey) -> list[CanonicalKey]:
 
     A child grown on an edge is kept only when no degree-2 vertex of the
     child outranks the new vertex; duplicates among the kept are left to the
-    caller's merge.
+    caller's merge.  The filter reads only the parent's degrees, common
+    counts and ear ranks (see the module docstring), and a kept child's
+    rows and neighbour lists are copied from the parent's.
     """
-    parent_rows = graph_of_key(parent)._rows
-    n = len(parent_rows)
-    ears = [x for x in range(n) if parent_rows[x].bit_count() == 2]
+    rows = graph_of_key(parent)._rows
+    n = len(rows)
+    nbrs = _neighbor_lists(rows)
+    degrees = [len(nb) for nb in nbrs]
+    ears = [(_ear_rank(rows, x), x, *nbrs[x]) for x in range(n) if degrees[x] == 2]
+    new = 1 << n
     out = []
     for u in range(n):
-        row = parent_rows[u] >> (u + 1)
-        v = u + 1
-        while row:
-            if row & 1:
-                child = list(parent_rows) + [(1 << u) | (1 << v)]
-                child[u] |= 1 << n
-                child[v] |= 1 << n
-                top = _ear_rank(child, n)
-                # u and v now have degree 3; the parent's other ears keep degree 2
-                if all(_ear_rank(child, x) <= top for x in ears if x != u and x != v):
-                    out.append(canonize_rows(child))
-            row >>= 1
-            v += 1
+        for v in nbrs[u]:
+            if v < u:
+                continue
+            du, dv = degrees[u] + 1, degrees[v] + 1
+            common = (rows[u] & rows[v]).bit_count() + 1
+            top = (du, dv, common) if du >= dv else (dv, du, common)
+            near = rows[u] | rows[v]  # u, v and every vertex adjacent to either
+            for rank, x, a, b in ears:
+                if near >> x & 1:
+                    if x == u or x == v:  # now of degree 3
+                        continue
+                    da = degrees[a] + (a == u or a == v)
+                    db = degrees[b] + (b == u or b == v)
+                    c = rank[2] + (a == u and b == v)
+                    rank = (da, db, c) if da >= db else (db, da, c)
+                if rank > top:
+                    break
+            else:
+                child = rows.copy()
+                child[u] |= new
+                child[v] |= new
+                child.append(1 << u | 1 << v)
+                child_nbrs = nbrs.copy()
+                child_nbrs[u] = nbrs[u] + [n]
+                child_nbrs[v] = nbrs[v] + [n]
+                child_nbrs.append([u, v])
+                out.append(canonize_rows(child, child_nbrs))
     return out
 
 
-def _next_level(level: EnumLevel, pool: ProcessPoolExecutor | None, workers: int) -> EnumLevel:
+def _expansions(level: EnumLevel, pool: ProcessPoolExecutor | None, workers: int):
+    """Each parent's kept child keys, in parent order: mapped lazily in this
+    process without a pool, or submitted to the pool at once."""
     if pool is None:
-        children = map(_expand_rows, level.keys)
-    else:
-        chunk = max(1, len(level.keys) // (workers * 4))
-        children = pool.map(_expand_rows, level.keys, chunksize=chunk)
+        return map(_expand_rows, level.keys)
+    chunk = max(1, len(level.keys) // (workers * 4))
+    return pool.map(_expand_rows, level.keys, chunksize=chunk)
+
+
+def _next_level(level: EnumLevel, pool: ProcessPoolExecutor | None, workers: int,
+                children=None) -> EnumLevel:
+    """The level after ``level``, merged from ``children`` (the parents'
+    expansions, when already submitted) or else from expansions started here."""
+    if children is None:
+        children = _expansions(level, pool, workers)
     keys = sorted({key for batch in children for key in batch})
     return EnumLevel(level.order + 1, tuple(keys))
 
@@ -133,13 +174,21 @@ def enumerate_levels(max_order: int, cap: int = DEFAULT_CAP, workers: int = 1):
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     level = _base_level()
-    yield level
     # a pool forks all its processes at the first submit: never more than the host has CPUs
     processes = min(workers, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=processes) if workers > 1 else nullcontext() as pool:
-        while level.order < max_order:
-            level = _next_level(level, pool, processes)
+    pool = ProcessPoolExecutor(max_workers=processes) if workers > 1 else None
+    try:
+        while True:
+            # the next level goes to the pool before this one is yielded, so the
+            # workers expand it while the caller works on this one
+            children = _expansions(level, pool, processes) if level.order < max_order else None
             yield level
+            if children is None:
+                return
+            level = _next_level(level, pool, processes, children)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def enumerate_two_trees(n: int, cap: int = DEFAULT_CAP, workers: int = 1) -> EnumLevel:

@@ -4,13 +4,14 @@ extremal claims, plus evidence reports for the still-open extremes.
 All rankings are exact: distinct two-trees can collide in double precision,
 so tie sets are decided symbolically, and graph6 text and floats are
 rendered only by the writers, for human consumption.  One pass over a
-level's keys decodes and evaluates each graph once, taking the coindex as
-the histogram total minus the index, and groups the keys by exact value in
-both directions.  A ranked level is its tie sets in rank order, each one
-exact value kept once with the keys that attain it; no per-graph record is
-built.  Only the distinct values are ordered, by
-:func:`~somborlab.radicals.sort_values`'s certified fixed-point keys rather
-than pairwise exact comparisons.  The evidence reports need only the
+level's keys decodes each graph once, to its signature: the sorted degree
+pairs of its edges, which fix both values.  Each signature is evaluated
+once, taking the coindex as the histogram total minus the index, and the
+keys are grouped by exact value in both directions.  A ranked level is its
+tie sets in rank order, each one exact value kept once with the keys that
+attain it; no per-graph record is built.  Only the distinct values are
+ordered, by :func:`~somborlab.radicals.sort_values`'s certified fixed-point
+keys rather than pairwise exact comparisons.  The evidence reports need only the
 minimum index and the maximum coindex, so they rank nothing: the first
 Zagreb bound ``SO >= M1/sqrt(2)``, which depends only on the degree
 histogram, rules out all but a handful of graphs per order before any is
@@ -30,9 +31,9 @@ from typing import Callable, Iterable
 from . import formulas
 from .enumeration import DEFAULT_CAP, EnumLevel, enumerate_levels, enumerate_two_trees
 from .families import l_graph, linear_two_tree, x_graph
-from .graphs import CanonicalKey, CapacityError, canonical_key, graph_of_key
+from .graphs import CanonicalKey, CapacityError, _graph6_rows, canonical_key, graph_of_key
 from .indices import (
-    Histogram, _histogram, _index_total, degree_histogram, histogram_total, sombor_index,
+    Histogram, _signature, _signature_values, degree_histogram, histogram_total, sombor_index,
 )
 from .radicals import RadicalSum, sort_values, sqrt_int
 
@@ -71,22 +72,26 @@ Groups = dict[RadicalSum, list[CanonicalKey]]
 def _value_groups(level: EnumLevel) -> tuple[Groups, Groups]:
     """Keys grouped by exact index and by exact coindex, groups unordered.
 
-    Each graph is decoded from its key in turn and evaluated once, from one
-    degree list: its coindex is the all-pairs total of its degree histogram
-    minus its index.  The normal form of a value is unique, so each group is
-    one exact tie set; level keys arrive sorted, so each group lists its keys
-    in level order.  Only the first graph with a value keeps that value
-    object.
+    Each key is decoded once, to the sorted degree pairs of its edges, which
+    fix both values: the index sums a weight per pair, and the coindex is
+    the all-pairs total of the degree histogram the pairs give, minus the
+    index.  The keys are grouped by those signatures, and each signature is
+    evaluated once.  The normal form of a value is unique, so gathering the
+    signatures of one value makes each group one exact tie set.  Level keys
+    are sorted, so sorting a group lists its keys in level order.
     """
+    by_signature: dict[tuple[int, ...], list[CanonicalKey]] = {}
+    for key in level.keys:
+        by_signature.setdefault(_signature(_graph6_rows(key)), []).append(key)
     so_groups: Groups = {}
     co_groups: Groups = {}
-    for key in level.keys:
-        g = graph_of_key(key)
-        degrees = g.degrees()
-        so = _index_total(g, degrees)
-        co = histogram_total(_histogram(degrees)) - so
-        so_groups.setdefault(so, []).append(key)
-        co_groups.setdefault(co, []).append(key)
+    for signature, keys in by_signature.items():
+        so, co = _signature_values(signature)
+        so_groups.setdefault(so, []).extend(keys)
+        co_groups.setdefault(co, []).extend(keys)
+    for groups in (so_groups, co_groups):
+        for keys in groups.values():
+            keys.sort()  # linear unless signatures were merged
     return so_groups, co_groups
 
 

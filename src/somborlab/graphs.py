@@ -295,8 +295,9 @@ def _ordered_columns(nbrs: list[list[int]], order) -> list[int]:
     return columns
 
 
-def _canonical_columns(rows: list[int], n: int) -> list[int]:
-    nbrs = _neighbor_lists(rows)
+def _canonical_columns(rows: list[int], n: int, nbrs: list[list[int]] | None = None) -> list[int]:
+    if nbrs is None:
+        nbrs = _neighbor_lists(rows)
     colors = _stable_colors(nbrs)
     top = n - 1
     cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
@@ -418,9 +419,14 @@ def graph_of_key(data: bytes) -> Graph:
     return Graph._from_rows(_graph6_rows(data))
 
 
-def canonize_rows(rows: list[int]) -> CanonicalKey:
-    """Canonical key of adjacency rows: the graph6 encoding of the canonical relabeling."""
-    return _graph6_pack(len(rows), _canonical_columns(rows, len(rows)))
+def canonize_rows(rows: list[int], nbrs: list[list[int]] | None = None) -> CanonicalKey:
+    """Canonical key of adjacency rows: the graph6 encoding of the canonical relabeling.
+
+    ``nbrs``, when given, are the rows' neighbor lists, as
+    :func:`_neighbor_lists` builds them; the kernel only reads them, and
+    builds its own when none are given.
+    """
+    return _graph6_pack(len(rows), _canonical_columns(rows, len(rows), nbrs))
 
 
 def canonical_key(g: Graph) -> CanonicalKey:

@@ -69,6 +69,42 @@ def _index_total(g: Graph, degrees: list[int]) -> RadicalSum:
     return _weighted_total(pairs)
 
 
+def _signature(rows: list[int]) -> tuple[int, ...]:
+    """The sorted degree pairs of the edges of adjacency ``rows``, each pair
+    ``(a, b)`` with ``a <= b`` coded as ``a << 6 | b`` (degrees stay below 64)."""
+    degrees = [row.bit_count() for row in rows]
+    codes = []
+    for u, row in enumerate(rows):
+        du = degrees[u]
+        row >>= u + 1  # the neighbors above u, shifted down by u + 1
+        while row:
+            low = row & -row
+            dv = degrees[low.bit_length() + u]
+            codes.append(du << 6 | dv if du <= dv else dv << 6 | du)
+            row ^= low
+    codes.sort()
+    return tuple(codes)
+
+
+def _signature_values(signature: tuple[int, ...]) -> tuple[RadicalSum, RadicalSum]:
+    """The exact index and coindex shared by every graph without isolated
+    vertices whose edge degree pairs are ``signature`` (see :func:`_signature`).
+
+    A vertex of degree ``d`` ends ``d`` edges, so the pairs also give the
+    degree histogram, and with it the all-pairs total.
+    """
+    pairs = {}
+    ends: dict[int, int] = {}
+    for code, count in Counter(signature).items():
+        a, b = code >> 6, code & 63
+        pairs[(a, b)] = count
+        ends[a] = ends.get(a, 0) + count
+        ends[b] = ends.get(b, 0) + count
+    so = _weighted_total(pairs)
+    hist = tuple([(d, count // d) for d, count in sorted(ends.items())])
+    return so, histogram_total(hist) - so
+
+
 def sombor_coindex(g: Graph) -> IndexValue:
     return IndexValue(total_pair_sum(g).exact - sombor_index(g).exact)
 
@@ -83,10 +119,7 @@ Histogram = tuple[tuple[int, int], ...]
 
 def degree_histogram(g: Graph) -> Histogram:
     """The ``(degree, count)`` pairs of ``g``, by ascending degree."""
-    return _histogram(g.degrees())
-
-
-def _histogram(degrees: list[int]) -> Histogram:
+    degrees = g.degrees()
     return tuple([(d, degrees.count(d)) for d in sorted(set(degrees))])
 
 

@@ -127,9 +127,11 @@ def test_kernel_matches_reference_on_every_enumerated_child(monkeypatch):
     children = []
     canonize = enumeration.canonize_rows
 
-    def record(rows):
+    def record(rows, nbrs):
+        # the parent-built neighbor lists are the ones the kernel would build
+        assert nbrs == _neighbor_lists(rows), rows
         children.append(list(rows))
-        return canonize(rows)
+        return canonize(rows, nbrs)
 
     monkeypatch.setattr(enumeration, "canonize_rows", record)
     for _ in enumeration.enumerate_levels(10):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import somborlab
+from somborlab import cli
 from somborlab.cli import run
+from somborlab.extremal import ExtremalReport, verify_theorems
 from somborlab.graph6 import from_graph6
 from somborlab.indices import sombor_coindex, sombor_index
 
@@ -174,6 +177,32 @@ def test_verify_json_and_csv(tmp_path, capsys):
     header = cpath.read_text().splitlines()[0]
     assert header.split(",")[:4] == ["order", "claim", "expected_family", "passed"]
     assert len(cpath.read_text().splitlines()) == 1 + 12  # header + 4 claims x 3 orders
+
+
+def _ranking_json_reference(report) -> dict:
+    """The ranking dict that json.dump wrote before rankings were streamed."""
+    tie_sets = [[key.decode("ascii") for key in keys] for _, keys in report.groups]
+    ranking = []
+    for (value, _), tie_set in zip(report.groups, tie_sets):
+        rendered = cli._value_json(value)  # once per tie set
+        ranking.extend({"graph6": graph6, **rendered} for graph6 in tie_set)
+    return {
+        "direction": report.direction,
+        "count": len(ranking),
+        "ranking": ranking,
+        "tie_sets": tie_sets,
+    }
+
+
+def test_streamed_ranking_matches_json_dump():
+    reports = verify_theorems(range(2, 11))
+    assert len(reports) == 2 * 9 and {r.direction for r in reports} == {"max", "min"}
+    for report in [*reports, ExtremalReport(4, "so-bar", "min", [])]:
+        fh = io.StringIO()
+        cli._write_ranking(fh, report)
+        # nested as the value of an order's entry in the payload list
+        expected = json.dumps(_ranking_json_reference(report), indent=2, ensure_ascii=False)
+        assert fh.getvalue() == expected.replace("\n", "\n    "), report.order
 
 
 def test_check_lemmas_default_grid(capsys):

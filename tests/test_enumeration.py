@@ -17,7 +17,9 @@ from somborlab.enumeration import (
 )
 from somborlab.families import l_graph, x_graph
 from somborlab.graph6 import from_graph6, to_graph6
-from somborlab.graphs import CapacityError, Graph, canonical_key, is_two_tree
+from somborlab.graphs import (
+    CapacityError, Graph, canonical_key, canonize_rows, graph_of_key, is_two_tree,
+)
 
 
 def test_level_counts_smallest_orders():
@@ -64,15 +66,57 @@ def test_most_children_are_dropped_before_canonizing(monkeypatch):
     calls = 0
     canonize = enumeration.canonize_rows
 
-    def counting(rows):
+    def counting(rows, nbrs):
         nonlocal calls
         calls += 1
-        return canonize(rows)
+        return canonize(rows, nbrs)
 
     monkeypatch.setattr(enumeration, "canonize_rows", counting)
     level = enumeration._next_level(parents, None, 1)
     assert 2 * calls < children
     assert list(level.keys) == sorted(_grow_every_child(parents.graphs))
+
+
+def _expand_rows_reference(parent):
+    """The expansion as it stood before children were built from the parent:
+    each child built in full, and every ear of it ranked again."""
+    parent_rows = graph_of_key(parent)._rows
+    n = len(parent_rows)
+    ears = [x for x in range(n) if parent_rows[x].bit_count() == 2]
+    out = []
+    for u in range(n):
+        row = parent_rows[u] >> (u + 1)
+        v = u + 1
+        while row:
+            if row & 1:
+                child = list(parent_rows) + [(1 << u) | (1 << v)]
+                child[u] |= 1 << n
+                child[v] |= 1 << n
+                top = enumeration._ear_rank(child, n)
+                # u and v now have degree 3; the parent's other ears keep degree 2
+                if all(enumeration._ear_rank(child, x) <= top
+                       for x in ears if x != u and x != v):
+                    out.append(canonize_rows(child))
+            row >>= 1
+            v += 1
+    return out
+
+
+def test_parent_built_children_pass_the_same_filter(monkeypatch):
+    for level in enumerate_levels(10):
+        for parent in level.keys:
+            assert enumeration._expand_rows(parent) == _expand_rows_reference(parent), parent
+    calls = 0
+    canonize = enumeration.canonize_rows
+
+    def counting(rows, nbrs):
+        nonlocal calls
+        calls += 1
+        return canonize(rows, nbrs)
+
+    monkeypatch.setattr(enumeration, "canonize_rows", counting)
+    assert enumerate_two_trees(11).count == 2171
+    assert calls == 3542
 
 
 def _automorphism_count(g: Graph) -> int:
@@ -193,6 +237,35 @@ def test_pool_never_exceeds_the_cpu_count(monkeypatch):
     with pytest.raises(Refused):
         list(enumerate_levels(3, workers=10**6))
     assert len(requested) == 1 and requested[0] <= os.cpu_count()
+
+
+def test_levels_are_pipelined_through_one_pool(monkeypatch):
+    events = []
+
+    class RecordingPool:
+        """Runs each map in process, recording the order of the level it builds."""
+
+        def __init__(self, max_workers=None):
+            events.append("pool")
+
+        def map(self, fn, parents, chunksize=1):
+            parents = list(parents)
+            events.append(("submit", parents[0][0] - 63 + 1))  # graph6 byte 0 is order + 63
+            return [fn(parent) for parent in parents]
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            events.append("shutdown")
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    keys = []
+    for level in enumerate_levels(7, workers=2):
+        events.append(("yield", level.order))
+        keys.append(level.keys)
+    # level n + 1 is submitted before level n is yielded, and nothing past order 7
+    assert events == ["pool", *[event for n in range(3, 8)
+                                for event in (("submit", n), ("yield", n - 1))],
+                      ("yield", 7), "shutdown"]
+    assert keys == [level.keys for level in enumerate_levels(7)]
 
 
 def test_abandoned_pooled_run_leaves_no_workers():

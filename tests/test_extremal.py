@@ -14,7 +14,7 @@ from somborlab.extremal import (
 )
 from somborlab.families import l_graph, linear_two_tree, x_graph
 from somborlab.graph6 import from_graph6, to_graph6
-from somborlab.graphs import Graph, canonical_key
+from somborlab.graphs import canonical_key
 from somborlab.radicals import RadicalSum, sqrt_int
 
 
@@ -224,29 +224,54 @@ def test_rank_by_with_forced_rekeying_matches_default(monkeypatch):
         assert values == sorted(values, reverse=direction == "max")
 
 
+def _degree_pair_signatures(level: EnumLevel) -> set:
+    signatures = set()
+    for g in level.graphs:
+        degrees = g.degrees()
+        signatures.add(tuple(sorted(tuple(sorted((degrees[u], degrees[v])))
+                                    for u, v in g.edges())))
+    return signatures
+
+
 def test_one_index_evaluation_per_graph(monkeypatch):
-    counts = {n: enumerate_two_trees(n).count for n in range(5, 10)}
+    levels = {n: enumerate_two_trees(n) for n in range(5, 10)}
+    counts = {n: level.count for n, level in levels.items()}
+    decoded = []
+    evaluations = []
+    real_decode = extremal._graph6_rows
+    real_values = extremal._signature_values
+    real_graph = extremal.graph_of_key
+
+    def counted_decode(key):
+        decoded.append(key)
+        return real_decode(key)
+
+    def counted_graph(key):
+        decoded.append(key)
+        return real_graph(key)
+
+    def counted_values(signature):
+        evaluations.append(signature)
+        return real_values(signature)
+
+    monkeypatch.setattr(extremal, "_graph6_rows", counted_decode)
+    monkeypatch.setattr(extremal, "graph_of_key", counted_graph)
+    monkeypatch.setattr(extremal, "_signature_values", counted_values)
+    verify_theorems([5, 7, 9])
+    # each graph is decoded once, and each distinct degree-pair signature
+    # evaluated once, which at order 9 is fewer evaluations than graphs
+    assert sorted(decoded) == sorted(levels[5].keys + levels[7].keys + levels[9].keys)
+    signatures = {n: _degree_pair_signatures(levels[n]) for n in (5, 7, 9)}
+    assert len(evaluations) == len(set(evaluations)) == sum(map(len, signatures.values()))
+    assert sum(len(s) == 2 * 9 - 3 for s in evaluations) == len(signatures[9]) < counts[9]
     calls = []
     real = indices._index_total
-    degree_lists = []
-    real_degrees = Graph.degrees
 
     def counted(g, degrees):
         calls.append(g)
         return real(g, degrees)
 
-    def counted_degrees(g):
-        degree_lists.append(g)
-        return real_degrees(g)
-
-    # both bindings of the evaluation that sombor_index wraps, so an index
-    # evaluated again inside the coindex is counted
     monkeypatch.setattr(indices, "_index_total", counted)
-    monkeypatch.setattr(extremal, "_index_total", counted)
-    monkeypatch.setattr(Graph, "degrees", counted_degrees)
-    verify_theorems([5, 7, 9])
-    assert len(calls) == len(degree_lists) == counts[5] + counts[7] + counts[9]
-    calls.clear()
     # conjecture evaluates only what its bound cannot rule out, each graph at most once
     conjecture_report([6, 8, 9])
     evaluated = [to_graph6(g) for g in calls]
