@@ -6,8 +6,9 @@ so tie sets are decided symbolically, and graph6 text and floats are
 rendered only by the writers, for human consumption.  One pass over a
 level's keys decodes each graph once, to its signature: the sorted degree
 pairs of its edges, which fix both values.  Each signature is evaluated
-once, taking the coindex as the histogram total minus the index, and the
-keys are grouped by exact value in both directions.  A ranked level is its
+once, by the one exact evaluator of :mod:`~somborlab.indices`, which takes
+the coindex as the histogram total minus the index, and the keys are
+grouped by exact value in both directions.  A ranked level is its
 tie sets in rank order, each one exact value kept once with the keys that
 attain it; no per-graph record is built.  Only the distinct values are
 ordered, by :func:`~somborlab.radicals.sort_values`'s certified fixed-point
@@ -15,7 +16,8 @@ keys rather than pairwise exact comparisons.  The evidence reports need only the
 minimum index and the maximum coindex, so they rank nothing: the first
 Zagreb bound ``SO >= M1/sqrt(2)``, which depends only on the degree
 histogram, rules out all but a handful of graphs per order before any is
-evaluated, and one best-first search over the histograms finds both.
+evaluated, and one best-first search over the histograms finds both,
+evaluating each signature it reaches once.
 A report holds the two extremes as witnesses and checks them against the
 index bound and each reading of the coindex bound; each check keeps a float
 gap for display beside its verdict, the sign of the exact gap.  A failed
@@ -33,7 +35,7 @@ from .enumeration import DEFAULT_CAP, EnumLevel, enumerate_levels, enumerate_two
 from .families import l_graph, linear_two_tree, x_graph
 from .graphs import CanonicalKey, CapacityError, _graph6_rows, canonical_key, graph_of_key
 from .indices import (
-    Histogram, _signature, _signature_values, degree_histogram, histogram_total, sombor_index,
+    Histogram, _signature, _signature_values, degree_histogram, histogram_total,
 )
 from .radicals import RadicalSum, sort_values, sqrt_int
 
@@ -116,7 +118,9 @@ def _extremes(level: EnumLevel) -> tuple[Extreme, Extreme]:
     minimum index as the largest ``-SO``, under the doubled bound
     ``-sqrt(2)*M1``, and the maximum coindex under ``2T - sqrt(2)*M1``.
     The bounds are doubled to keep their coefficients integral, and every
-    bound and stop test is an exact comparison.
+    bound and stop test is an exact comparison.  A visited key is decoded
+    again to its degree-pair signature, and each signature is evaluated
+    once, for its index and coindex together, as in :func:`_value_groups`.
     """
     buckets: dict[Histogram, list[CanonicalKey]] = {}
     for key in level.keys:
@@ -124,18 +128,17 @@ def _extremes(level: EnumLevel) -> tuple[Extreme, Extreme]:
     root2 = sqrt_int(2)
     # sqrt(2)*M1 per histogram
     zagreb = {hist: root2 * sum(d * d * count for d, count in hist) for hist in buckets}
-    index: dict[CanonicalKey, RadicalSum] = {}  # each graph is evaluated at most once
+    values: dict[tuple[int, ...], tuple[RadicalSum, RadicalSum]] = {}
 
-    def so(key: CanonicalKey) -> RadicalSum:
-        if key not in index:
-            index[key] = sombor_index(graph_of_key(key)).exact
-        return index[key]
+    def evaluate(key: CanonicalKey) -> tuple[RadicalSum, RadicalSum]:
+        signature = _signature(_graph6_rows(key))
+        if signature not in values:  # each signature is evaluated at most once
+            values[signature] = _signature_values(signature)
+        return values[signature]
 
-    neg_so, min_key = _best_first(buckets, lambda hist: -zagreb[hist], lambda hist, key: -so(key))
+    neg_so, min_key = _best_first(buckets, lambda hist: -zagreb[hist], lambda k: -evaluate(k)[0])
     max_co = _best_first(
-        buckets,
-        lambda hist: 2 * histogram_total(hist) - zagreb[hist],
-        lambda hist, key: histogram_total(hist) - so(key),
+        buckets, lambda hist: 2 * histogram_total(hist) - zagreb[hist], lambda k: evaluate(k)[1]
     )
     return (-neg_so, min_key), max_co
 
@@ -143,9 +146,9 @@ def _extremes(level: EnumLevel) -> tuple[Extreme, Extreme]:
 def _best_first(
     buckets: dict[Histogram, list[CanonicalKey]],
     bound: Callable[[Histogram], RadicalSum],
-    value: Callable[[Histogram, CanonicalKey], RadicalSum],
+    value: Callable[[CanonicalKey], RadicalSum],
 ) -> Extreme:
-    """Largest ``value(hist, key)`` over the buckets, with its smallest key,
+    """Largest ``value(key)`` over the buckets, with its smallest key,
     where ``bound(hist)`` is at least twice every value in bucket ``hist``.
 
     Buckets are visited by descending bound and evaluated whole, and the
@@ -162,7 +165,7 @@ def _best_first(
             break
         for hist in by_bound[limit]:
             for key in buckets[hist]:  # keys ascend only within a bucket: a tie keeps the smaller
-                v = value(hist, key)
+                v = value(key)
                 if best is None or v > best or (v == best and key < best_key):
                     best, best_key = v, key
     return best, best_key

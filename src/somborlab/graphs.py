@@ -93,16 +93,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as pairs ``(u, v)`` with ``u < v``, lexicographic."""
-        out = []
-        for u in range(self.order):
-            row = self._rows[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
-        return out
+        return [(u, v) for u, row in enumerate(self._rows)
+                for v in _bits(row >> (u + 1) << (u + 1))]
 
     def non_edges(self) -> list[tuple[int, int]]:
         """All non-adjacent pairs ``(u, v)`` with ``u < v``, lexicographic."""

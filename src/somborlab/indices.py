@@ -3,11 +3,15 @@
 The index sums ``sqrt(d(u)^2 + d(v)^2)`` over edges; the coindex sums the
 same weight over non-adjacent pairs, with degrees always taken in the
 original graph (the coindex of a two-tree is not an index of its
-complement).  Edges and non-edges partition the vertex pairs, so the
-coindex is the all-pairs total minus the index; the total needs only the
-degree histogram, so it is computed once per histogram, and no pair walk
-happens anywhere.  All sums are exact :class:`~somborlab.radicals.RadicalSum`
-values.
+complement).  Each sum depends only on how many pairs have each pair of
+degrees, so one evaluator computes them all: a weighted count of
+degree-pair codes ``a << 6 | b`` (``a <= b``; degrees stay below 64).  The
+index counts the codes of the edges (:func:`_signature`); the all-pairs
+total counts the codes of every vertex pair, which the degree histogram
+gives, so it is computed once per histogram; and since edges and
+non-edges partition the vertex pairs, the coindex is the total minus the
+index.  No pair walk happens anywhere.  All sums are exact
+:class:`~somborlab.radicals.RadicalSum` values.
 """
 
 from __future__ import annotations
@@ -46,27 +50,20 @@ def _weight(a: int, b: int) -> RadicalSum:
     return sqrt_int(a * a + b * b)
 
 
-def _weighted_total(pairs: dict[tuple[int, int], int]) -> RadicalSum:
-    # pairs are keyed (da, db) with da <= db; two isolated vertices (db == 0) weigh 0
+def _weighted_total(codes: dict[int, int]) -> RadicalSum:
+    """Each degree-pair code's weight (see :func:`_signature`) times its count,
+    summed.  Degree 0 is an isolated vertex: code 0 (two of them) weighs 0,
+    and code ``d`` (one beside a vertex of degree ``d``) weighs ``d``."""
     terms: dict[int, int] = {}
-    for (da, db), count in pairs.items():
-        if count and db:  # a degree held by one vertex pairs with itself 0 times
-            for s, c in _weight(da, db)._terms.items():
+    for code, count in codes.items():
+        if count and code:  # a degree held by one vertex pairs with itself 0 times
+            for s, c in _weight(code >> 6, code & 63)._terms.items():
                 terms[s] = terms.get(s, 0) + count * c
     return RadicalSum._unchecked(terms)
 
 
 def sombor_index(g: Graph) -> IndexValue:
-    return IndexValue(_index_total(g, g.degrees()))
-
-
-def _index_total(g: Graph, degrees: list[int]) -> RadicalSum:
-    """The index of ``g``, whose degrees by vertex id are ``degrees``."""
-    pairs = Counter()
-    for u, v in g.edges():
-        a, b = degrees[u], degrees[v]
-        pairs[(a, b) if a <= b else (b, a)] += 1
-    return _weighted_total(pairs)
+    return IndexValue(_weighted_total(Counter(_signature(g._rows))))
 
 
 def _signature(rows: list[int]) -> tuple[int, ...]:
@@ -93,14 +90,13 @@ def _signature_values(signature: tuple[int, ...]) -> tuple[RadicalSum, RadicalSu
     A vertex of degree ``d`` ends ``d`` edges, so the pairs also give the
     degree histogram, and with it the all-pairs total.
     """
-    pairs = {}
+    codes = Counter(signature)
     ends: dict[int, int] = {}
-    for code, count in Counter(signature).items():
+    for code, count in codes.items():
         a, b = code >> 6, code & 63
-        pairs[(a, b)] = count
         ends[a] = ends.get(a, 0) + count
         ends[b] = ends.get(b, 0) + count
-    so = _weighted_total(pairs)
+    so = _weighted_total(codes)
     hist = tuple([(d, count // d) for d, count in sorted(ends.items())])
     return so, histogram_total(hist) - so
 
@@ -126,9 +122,9 @@ def degree_histogram(g: Graph) -> Histogram:
 @lru_cache(maxsize=None)
 def histogram_total(hist: Histogram) -> RadicalSum:
     """Weight summed over all vertex pairs of any graph with degree histogram ``hist``."""
-    pairs = {}
+    codes = {}
     for i, (a, ha) in enumerate(hist):
-        pairs[(a, a)] = ha * (ha - 1) // 2
+        codes[a << 6 | a] = ha * (ha - 1) // 2
         for b, hb in hist[i + 1:]:
-            pairs[(a, b)] = ha * hb
-    return _weighted_total(pairs)
+            codes[a << 6 | b] = ha * hb
+    return _weighted_total(codes)

@@ -13,7 +13,7 @@ from somborlab.extremal import (
     verify_theorems,
 )
 from somborlab.families import l_graph, linear_two_tree, x_graph
-from somborlab.graph6 import from_graph6, to_graph6
+from somborlab.graph6 import from_graph6
 from somborlab.graphs import canonical_key
 from somborlab.radicals import RadicalSum, sqrt_int
 
@@ -264,18 +264,10 @@ def test_one_index_evaluation_per_graph(monkeypatch):
     signatures = {n: _degree_pair_signatures(levels[n]) for n in (5, 7, 9)}
     assert len(evaluations) == len(set(evaluations)) == sum(map(len, signatures.values()))
     assert sum(len(s) == 2 * 9 - 3 for s in evaluations) == len(signatures[9]) < counts[9]
-    calls = []
-    real = indices._index_total
-
-    def counted(g, degrees):
-        calls.append(g)
-        return real(g, degrees)
-
-    monkeypatch.setattr(indices, "_index_total", counted)
-    # conjecture evaluates only what its bound cannot rule out, each graph at most once
+    evaluations.clear()
+    # conjecture evaluates only what its bound cannot rule out, each signature at most once
     conjecture_report([6, 8, 9])
-    evaluated = [to_graph6(g) for g in calls]
-    assert len(evaluated) == len(set(evaluated)) < counts[6] + counts[8] + counts[9]
+    assert len(evaluations) == len(set(evaluations)) < counts[6] + counts[8] + counts[9]
 
 
 def test_bound_verdicts_are_exact_at_equality(monkeypatch):
@@ -345,20 +337,20 @@ def test_best_first_visits_a_bucket_whose_bound_equals_twice_the_best():
     loose, attained = ((3, 4),), ((2, 5),)
     buckets = {attained: [b"A"], loose: [b"B"]}
     bounds = {loose: 3 * root2, attained: 2 * root2}
-    best = extremal._best_first(buckets, bounds.__getitem__, lambda hist, key: root2)
+    best = extremal._best_first(buckets, bounds.__getitem__, lambda key: root2)
     assert best == (root2, b"A")
 
 
 def test_extremes_evaluate_under_one_percent_of_order_11(monkeypatch):
     level = enumerate_two_trees(11)
     calls = []
-    real = extremal.sombor_index
+    real = extremal._signature_values
 
-    def counted(g):
-        calls.append(g)
-        return real(g)
+    def counted(signature):
+        calls.append(signature)
+        return real(signature)
 
-    monkeypatch.setattr(extremal, "sombor_index", counted)
+    monkeypatch.setattr(extremal, "_signature_values", counted)
     extremal._extremes(level)
     assert level.count == 2171
     assert 0 < len(calls) < 0.01 * level.count

@@ -24,10 +24,11 @@ def test_second_family_closed_forms_small_orders():
 
 
 def test_closed_forms_match_graph_computation():
-    for n in range(3, 21):
+    # up to the capacity, where a hub of degree 63 fills the 6 bits of a degree-pair code
+    for n in range(3, 65):
         assert sombor_index(x_graph(n)).exact == formulas.so_x_closed(n)
         assert sombor_coindex(x_graph(n)).exact == formulas.so_bar_x_closed(n)
-    for n in range(5, 21):
+    for n in range(5, 65):
         assert sombor_index(l_graph(n)).exact == formulas.so_l_closed(n)
         assert sombor_coindex(l_graph(n)).exact == formulas.so_bar_l_closed(n)
 

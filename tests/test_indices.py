@@ -48,12 +48,22 @@ def test_order_5_second_family_values():
 
 def test_float_shadow_agrees_with_direct_walk():
     rng = random.Random(2)
-    for _ in range(20):
-        g = from_recipe(random_recipe(rng.randrange(3, 14), rng))
+    # one edge beside an isolated vertex, an edgeless graph, and a random
+    # graph on 9 of 12 vertices, so at least 3 are isolated
+    sparse = [(u, v) for u, v in itertools.combinations(range(9), 2) if rng.random() < 0.4]
+    graphs = [from_graph6("B_"), from_graph6("C?"), Graph.from_edges(12, sparse)]
+    for n in range(2, 65):
+        g = from_recipe(random_recipe(n, rng))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs += [g, g.relabeled(perm)]
+    for g in graphs:
         degs = g.degrees()
         direct = sum(math.hypot(degs[u], degs[v]) for u, v in g.edges())
         value = sombor_index(g)
         assert value.approx == pytest.approx(direct, rel=1e-12)
+        # the index counts degree-pair codes; the edge walk is its reference
+        assert value.exact == _pair_walk(g, g.edges())
 
 
 def test_coindex_of_complete_graphs_is_zero():
