@@ -31,7 +31,7 @@ from .families import (
     x_graph,
 )
 from .graph6 import from_graph6, to_dot, to_graph6
-from .graphs import Graph
+from .graphs import MAX_ORDER, Graph
 from .indices import sombor_coindex, sombor_index
 
 CAP_ENV = "SOMBORLAB_CAP"
@@ -41,14 +41,16 @@ ANCHOR_DIAG_STEP = (1.40312, 1e-5)
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
-    """A single order ``N`` or an inclusive range ``A..B``."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if lo > hi:
-            raise argparse.ArgumentTypeError(f"empty order range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+    """A single order ``N`` or an inclusive range ``A..B``, checked against
+    ``0..MAX_ORDER`` before it is built."""
+    lo_text, dots, hi_text = text.partition("..")
+    lo = int(lo_text)
+    hi = int(hi_text) if dots else lo
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty order range {text!r}")
+    if lo < 0 or hi > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"orders must be in 0..{MAX_ORDER}, got {text!r}")
+    return tuple(range(lo, hi + 1))
 
 
 def _fmt_float(x: float) -> str:
@@ -81,21 +83,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _resolve_graph(args) -> tuple[str, Graph]:
-    sources = [
-        args.family is not None,
-        args.recipe is not None,
-        args.g6 is not None,
-        args.random_recipe is not None,
-    ]
-    if sum(sources) != 1:
-        raise ValueError("choose exactly one graph source "
-                         "(--family/--n, --recipe, --g6 or --random-recipe)")
     if args.family is not None:
-        if args.n is None or len(args.n) != 1:
-            raise ValueError("--family needs a single order --n")
-        n = args.n[0]
+        if args.n is None:
+            raise ValueError("--family needs an order --n")
         builders = {"X": x_graph, "L": l_graph, "linear": linear_two_tree, "K": complete}
-        return f"{args.family}_{n}", builders[args.family](n)
+        return f"{args.family}_{args.n}", builders[args.family](args.n)
     if args.recipe is not None:
         recipe = TwoTreeRecipe.parse(args.recipe)
         return f"recipe[{recipe}]", from_recipe(recipe)
@@ -404,12 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     def graph_source(p):
-        p.add_argument("--family", choices=("X", "L", "linear", "K"))
-        p.add_argument("--n", type=_parse_orders, help="order for --family")
-        p.add_argument("--recipe", help="comma-separated edge choices, e.g. 0,0,1")
-        p.add_argument("--g6", help="graph6 string of the graph")
-        p.add_argument("--random-recipe", type=int, metavar="ORDER",
-                       help="seeded random construction trace of this order")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--family", choices=("X", "L", "linear", "K"))
+        source.add_argument("--recipe", help="comma-separated edge choices, e.g. 0,0,1")
+        source.add_argument("--g6", help="graph6 string of the graph")
+        source.add_argument("--random-recipe", type=int, metavar="ORDER",
+                            help="seeded random construction trace of this order")
+        p.add_argument("--n", type=int, help="order for --family")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output")
 

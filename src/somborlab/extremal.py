@@ -191,17 +191,11 @@ def rank_by(
     return _report(n, kind, direction, _value_groups(level)[KINDS.index(kind)])
 
 
-def _claim(
-    claim: str,
-    n: int,
-    report: ExtremalReport,
-    position: int,
-    expected_family: str,
-    expected_key: CanonicalKey,
-    expected_value: RadicalSum,
-) -> ClaimCheck:
+def _claim(report: ExtremalReport, claim: str, position: int, expected_family: str,
+           expected_key: CanonicalKey, expected_value: RadicalSum) -> ClaimCheck:
     """Check that tie set ``position`` is exactly one expected graph with the
     expected exact value."""
+    n = report.order
     if position >= len(report.groups):
         return ClaimCheck(claim, n, expected_family, expected_value, "", RadicalSum.zero(),
                           False, f"ranking has only {len(report.groups)} tie sets")
@@ -233,22 +227,20 @@ def attach_claims(
     families deliberately swapped.
     """
     n = so_report.order
-    fam1, key1 = expected_first if expected_first else ("X", canonical_key(x_graph(n)))
-    so_report.claim_checks.append(
-        _claim("so-max", n, so_report, 0, fam1, key1, formulas.so_x_closed(n))
-    )
-    coindex_report.claim_checks.append(
-        _claim("coindex-min", n, coindex_report, 0, fam1, key1, formulas.so_bar_x_closed(n))
-    )
+    first = expected_first or ("X", canonical_key(x_graph(n)))
+    # (report, claim, tie-set position, (family, key), closed form)
+    rows = [
+        (so_report, "so-max", 0, first, formulas.so_x_closed),
+        (coindex_report, "coindex-min", 0, first, formulas.so_bar_x_closed),
+    ]
     if n >= 5:
-        fam2, key2 = expected_second if expected_second else ("L", canonical_key(l_graph(n)))
-        so_report.claim_checks.append(
-            _claim("so-second-max", n, so_report, 1, fam2, key2, formulas.so_l_closed(n))
-        )
-        coindex_report.claim_checks.append(
-            _claim("coindex-second-min", n, coindex_report, 1, fam2, key2,
-                   formulas.so_bar_l_closed(n))
-        )
+        second = expected_second or ("L", canonical_key(l_graph(n)))
+        rows += [
+            (so_report, "so-second-max", 1, second, formulas.so_l_closed),
+            (coindex_report, "coindex-second-min", 1, second, formulas.so_bar_l_closed),
+        ]
+    for report, claim, position, (family, key), closed in rows:
+        report.claim_checks.append(_claim(report, claim, position, family, key, closed(n)))
 
 
 def verify_theorems(

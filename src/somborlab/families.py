@@ -77,6 +77,8 @@ def random_recipe(order: int, rng: random.Random) -> TwoTreeRecipe:
     """Uniformly random edge choice at every step (not uniform over graphs)."""
     if order < 2:
         raise ValueError(f"a two-tree has order at least 2, got {order}")
+    if order > MAX_ORDER:  # before drawing, so a refused order costs no steps
+        raise CapacityError(f"recipe order {order} exceeds capacity {MAX_ORDER}")
     return TwoTreeRecipe(tuple(rng.randrange(2 * t - 1) for t in range(1, order - 1)))
 
 

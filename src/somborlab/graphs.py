@@ -169,34 +169,33 @@ def is_two_tree(g: Graph) -> bool:
 
 # -- canonical labeling ----------------------------------------------------
 #
-# Vertices are first colored by an iterated, order-invariant refinement:
-# degree first, then each round splits every color class by the sorted tuple
-# of its vertices' neighbor colors, and the subclasses take the old class's
-# slot in the color order, ordered by tuple.  So a new color is the rank of
-# ``(color, sorted neighbor colors)`` over the whole graph, and isomorphic
-# graphs color correspondingly.  The rounds run cell-locally: a class is
-# labeled by its first position in the ordered partition, so a split moves
+# Vertices are first partitioned by an iterated, order-invariant refinement:
+# degree first, then each round splits every class by the sorted tuple of
+# its vertices' neighbor classes, and the subclasses take the old class's
+# slot in the class order, ordered by tuple.  Isomorphic graphs therefore
+# get corresponding ordered partitions.  The rounds run cell-locally: a class
+# is labeled by its first position in the ordered partition, so a split moves
 # only the vertices of its later subclasses, and a round re-signs only the
 # classes that hold a neighbor of a moved vertex, because no other class can
-# split.  Positions order the classes as ranks do, so every tuple comparison,
-# every split and therefore every final color (the rank of its class) is the
-# one a global round would give.  Refinement stops when the partition is
-# discrete or a round splits nothing.
+# split.  Positions order the classes as a global round would, so every tuple
+# comparison and every split is the one a global round would give.
+# Refinement stops when the partition is discrete or a round splits nothing,
+# and returns the classes in order.
 #
 # The key is then the lexicographically smallest packed upper-triangle
-# bitstring over all vertex orderings that list color classes in ascending
-# color order.  When every class is a set of mutual twins (each class a
-# single vertex, in particular), any two such orderings differ by an
-# automorphism, so they all give one string: the search below would collapse
-# every class to one candidate and visit one leaf, and the columns are read
-# off that ordering directly.  Otherwise the search walks positions left to
-# right.  Each vertex keeps a position mask, with bit ``n - 1 - i`` set when
-# it is adjacent to the vertex placed at position ``i``: a candidate's column
-# at position ``k`` is its mask shifted down by ``n - k``, and placing a
-# vertex updates only its neighbors' masks.  At each position only
-# candidates achieving the minimal next column can lead to the minimum,
-# interchangeable twins are collapsed, and whole subtrees are pruned against
-# the best string found so far.
+# bitstring over all vertex orderings that list the classes in order.  When
+# every class is a set of mutual twins (each class a single vertex, in
+# particular), any two such orderings differ by an automorphism, so they all
+# give one string: the search below would collapse every class to one
+# candidate and visit one leaf, and the columns are read off the classes in
+# turn.  Otherwise the search walks positions left to right.  Each vertex
+# keeps a position mask, with bit ``n - 1 - i`` set when it is adjacent to
+# the vertex placed at position ``i``: a candidate's column at position ``k``
+# is its mask shifted down by ``n - k``, and placing a vertex updates only
+# its neighbors' masks.  At each position only candidates achieving the
+# minimal next column can lead to the minimum, interchangeable twins are
+# collapsed, and whole subtrees are pruned against the best string found so
+# far.
 
 
 def _neighbor_lists(rows: list[int]) -> list[list[int]]:
@@ -211,12 +210,11 @@ def _neighbor_lists(rows: list[int]) -> list[list[int]]:
     return nbrs
 
 
-def _stable_colors(nbrs: list[list[int]]) -> list[int]:
-    n = len(nbrs)
+def _stable_partition(nbrs: list[list[int]]) -> list[list[int]]:
     by_degree: dict[int, list[int]] = {}
     for v, nb in enumerate(nbrs):
         by_degree.setdefault(len(nb), []).append(v)
-    label = [0] * n  # a class is labeled by its first position
+    label = [0] * len(nbrs)  # a class is labeled by its first position
     cells: dict[int, list[int]] = {}
     at = 0
     for d in sorted(by_degree):
@@ -251,14 +249,11 @@ def _stable_colors(nbrs: list[list[int]]) -> list[int]:
                     moved.append(v)
                 part.append(v)
             cells[start] = part
-        if len(cells) == n:
+        if len(cells) == len(nbrs):  # discrete
             break
         near = {label[u] for v in moved for u in nbrs[v]}
         touched = [cells[at] for at in near if len(cells[at]) > 1]
-    if len(cells) == n:  # discrete: the positions are the ranks
-        return label
-    rank = {at: c for c, at in enumerate(sorted(cells))}
-    return [rank[at] for at in label]
+    return [cells[at] for at in sorted(cells)]
 
 
 def _twin_class(rows: list[int], cell: list[int]) -> bool:
@@ -287,23 +282,18 @@ def _ordered_columns(nbrs: list[list[int]], order) -> list[int]:
     return columns
 
 
-def _canonical_columns(rows: list[int], n: int, nbrs: list[list[int]] | None = None) -> list[int]:
-    if nbrs is None:
-        nbrs = _neighbor_lists(rows)
-    colors = _stable_colors(nbrs)
-    top = n - 1
-    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
-    for v in range(n):
-        cells[colors[v]].append(v)
+def _canonical_columns(rows: list[int], nbrs: list[list[int]]) -> list[int]:
+    cells = _stable_partition(nbrs)
     if all(len(cell) == 1 or _twin_class(rows, cell) for cell in cells):
-        # twin collapse leaves one ordering: the cells in turn, each by vertex
+        # twin collapse leaves one ordering: the cells in turn
         return _ordered_columns(nbrs, [v for cell in cells for v in cell])
-    cell_at = sorted(colors)
+    n = len(rows)
+    cell_at = [cell for cell in cells for _ in cell]  # the class of each position
 
     best: list[int] | None = None
     version = 0
     cols: list[int] = []
-    pos = [0] * n  # bit top - i set: adjacent to the vertex at position i
+    pos = [0] * n  # bit n - 1 - i set: adjacent to the vertex at position i
     used = 0
 
     def dfs(k: int, tight: bool) -> None:
@@ -314,7 +304,7 @@ def _canonical_columns(rows: list[int], n: int, nbrs: list[list[int]] | None = N
                 version += 1
             return
         shift = n - k
-        cands = [v for v in cells[cell_at[k]] if not used >> v & 1]
+        cands = [v for v in cell_at[k] if not used >> v & 1]
         if len(cands) == 1:  # forced: no minimum or twins to look for
             reps = cands
             mincol = pos[cands[0]] >> shift
@@ -338,7 +328,7 @@ def _canonical_columns(rows: list[int], n: int, nbrs: list[list[int]] | None = N
                         break
                 else:
                     reps.append(v)
-        bit = 1 << top - k
+        bit = 1 << n - 1 - k
         myversion = version
         cols.append(mincol)
         for v in reps:
@@ -416,9 +406,11 @@ def canonize_rows(rows: list[int], nbrs: list[list[int]] | None = None) -> Canon
 
     ``nbrs``, when given, are the rows' neighbor lists, as
     :func:`_neighbor_lists` builds them; the kernel only reads them, and
-    builds its own when none are given.
+    they are built here when none are given.
     """
-    return _graph6_pack(len(rows), _canonical_columns(rows, len(rows), nbrs))
+    if nbrs is None:
+        nbrs = _neighbor_lists(rows)
+    return _graph6_pack(len(rows), _canonical_columns(rows, nbrs))
 
 
 def canonical_key(g: Graph) -> CanonicalKey:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -123,8 +124,17 @@ def test_index_random_recipe_deterministic(capsys):
 
 
 def test_index_requires_exactly_one_source(capsys):
-    assert run(["index", "--family", "L", "--n", "5", "--recipe", "0"]) == 2
-    assert run(["index"]) == 2
+    for argv in (
+        ["index", "--family", "L", "--n", "5", "--recipe", "0"],
+        ["index"],
+        ["export", "--format", "dot"],
+        ["index", "--g6", "DF{", "--random-recipe", "5"],
+        ["index", "--family", "L"],  # no order
+        ["index", "--family", "L", "--n", "5..6"],  # one order, not a range
+        ["index", "--random-recipe", "65"],  # past the capacity
+    ):
+        assert run(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
 
 
 def test_index_json_report(tmp_path, capsys):
@@ -269,6 +279,17 @@ def test_usage_and_capacity_exit_codes(capsys):
     ):
         assert run(argv) == 2, argv
         assert "error:" in capsys.readouterr().err, argv
+
+
+def test_order_ranges_are_bounded_before_they_are_built(capsys):
+    # an order past the graph capacity, or below 0, is refused while parsing
+    for text in ("2..65", "-1..5", "65", "-1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._parse_orders(text)
+        assert run(["verify-theorems", f"--n={text}"]) == 2, text
+        assert "error:" in capsys.readouterr().err, text
+    assert cli._parse_orders("0..64") == tuple(range(65))
+    assert cli._parse_orders("7") == (7,)
 
 
 def test_cap_is_configurable(capsys, monkeypatch):

@@ -14,7 +14,9 @@ from somborlab.families import (
     random_recipe,
     x_graph,
 )
-from somborlab.graphs import Graph, are_isomorphic, canonical_key, is_two_tree
+from somborlab.graphs import (
+    MAX_ORDER, CapacityError, Graph, are_isomorphic, canonical_key, is_two_tree,
+)
 from somborlab.indices import degree_histogram, sombor_index
 from somborlab.radicals import RadicalSum
 
@@ -112,6 +114,15 @@ def test_random_recipes_always_yield_two_trees():
     for _ in range(500):
         g = from_recipe(random_recipe(rng.randrange(2, 21), rng))
         assert is_two_tree(g)
+
+
+def test_random_recipe_refuses_an_order_past_capacity_before_drawing():
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(CapacityError):
+        random_recipe(MAX_ORDER + 1, rng)
+    assert rng.getstate() == state
+    assert random_recipe(MAX_ORDER, rng).order == MAX_ORDER
 
 
 def test_named_families_are_two_trees():
