@@ -153,12 +153,8 @@ def _expansions(level: EnumLevel, pool: ProcessPoolExecutor | None, workers: int
     return pool.map(_expand_rows, level.keys, chunksize=chunk)
 
 
-def _next_level(level: EnumLevel, pool: ProcessPoolExecutor | None, workers: int,
-                children=None) -> EnumLevel:
-    """The level after ``level``, merged from ``children`` (the parents'
-    expansions, when already submitted) or else from expansions started here."""
-    if children is None:
-        children = _expansions(level, pool, workers)
+def _next_level(level: EnumLevel, children) -> EnumLevel:
+    """The level after ``level``, merged from ``children``, the parents' expansions."""
     keys = sorted({key for batch in children for key in batch})
     return EnumLevel(level.order + 1, tuple(keys))
 
@@ -185,7 +181,7 @@ def enumerate_levels(max_order: int, cap: int = DEFAULT_CAP, workers: int = 1):
             yield level
             if children is None:
                 return
-            level = _next_level(level, pool, processes, children)
+            level = _next_level(level, children)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

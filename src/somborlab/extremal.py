@@ -175,8 +175,6 @@ def rank_by(
     n: int,
     kind: str,
     direction: str,
-    cap: int = DEFAULT_CAP,
-    workers: int = 1,
     level: EnumLevel | None = None,
 ) -> ExtremalReport:
     """Complete exact ranking of all two-trees of order ``n``."""
@@ -185,7 +183,7 @@ def rank_by(
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if level is None:
-        level = enumerate_two_trees(n, cap=cap, workers=workers)
+        level = enumerate_two_trees(n)
     elif level.order != n:
         raise ValueError(f"level has order {level.order}, cannot rank it as order {n}")
     return _report(n, kind, direction, _value_groups(level)[KINDS.index(kind)])

@@ -183,19 +183,25 @@ def is_two_tree(g: Graph) -> bool:
 # and returns the classes in order.
 #
 # The key is then the lexicographically smallest packed upper-triangle
-# bitstring over all vertex orderings that list the classes in order.  When
-# every class is a set of mutual twins (each class a single vertex, in
-# particular), any two such orderings differ by an automorphism, so they all
-# give one string: the search below would collapse every class to one
-# candidate and visit one leaf, and the columns are read off the classes in
-# turn.  Otherwise the search walks positions left to right.  Each vertex
-# keeps a position mask, with bit ``n - 1 - i`` set when it is adjacent to
-# the vertex placed at position ``i``: a candidate's column at position ``k``
-# is its mask shifted down by ``n - k``, and placing a vertex updates only
-# its neighbors' masks.  At each position only candidates achieving the
-# minimal next column can lead to the minimum, interchangeable twins are
-# collapsed, and whole subtrees are pruned against the best string found so
-# far.
+# bitstring over all vertex orderings that list the classes in order.  Two
+# vertices are twins when they have the same neighbors apart from each other
+# (:func:`_twins`); swapping twins is an automorphism.  When every class is a
+# set of mutual twins (each class a single vertex, in particular), any two
+# such orderings differ by an automorphism, so they all give one string: the
+# search below would collapse every class to one candidate and visit one
+# leaf, and the columns are read off the classes in turn.  Otherwise the
+# search walks positions left to right.  Each vertex keeps a position mask,
+# with bit ``n - 1 - i`` set when it is adjacent to the vertex placed at
+# position ``i``: a candidate's column at position ``k`` is its mask shifted
+# down by ``n - k``, and placing a vertex updates only its neighbors' masks.
+# At each position only candidates achieving the minimal next column can
+# lead to the minimum, and twins among them are collapsed to one.  Pruning
+# compares against the best string found so far: on entry to position ``k``
+# the columns so far never exceed ``best[:k]`` (the parent checked them, and
+# a new best can only come from the parent's own subtree, which extends
+# them), so the columns with the next one appended exceed ``best`` exactly
+# when they equal its prefix and the next column is larger, and that subtree
+# is dropped.  A leaf that equals ``best`` ties it; one below it improves it.
 
 
 def _neighbor_lists(rows: list[int]) -> list[list[int]]:
@@ -231,8 +237,6 @@ def _stable_partition(nbrs: list[list[int]]) -> list[list[int]]:
             sigs = [tuple(sorted(map(label_of, nbrs[v]))) for v in cell]
             if sigs.count(sigs[0]) < len(sigs):
                 splits.append(sorted(zip(sigs, cell)))
-        if not splits:
-            break
         moved = []  # relabel only once every touched class is signed
         for signed in splits:
             sig0, v = signed[0]
@@ -256,12 +260,9 @@ def _stable_partition(nbrs: list[list[int]]) -> list[list[int]]:
     return [cells[at] for at in sorted(cells)]
 
 
-def _twin_class(rows: list[int], cell: list[int]) -> bool:
-    """Whether every two vertices of ``cell`` are twins: all open, or all
-    closed, neighborhoods in the cell are equal."""
-    v = cell[0]
-    row, closed = rows[v], rows[v] | 1 << v
-    return all(rows[u] == row for u in cell) or all(rows[u] | 1 << u == closed for u in cell)
+def _twins(rows: list[int], u: int, v: int) -> bool:
+    """Whether ``u`` and ``v`` have the same neighbors apart from each other."""
+    return rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
 
 
 def _ordered_columns(nbrs: list[list[int]], order) -> list[int]:
@@ -284,24 +285,22 @@ def _ordered_columns(nbrs: list[list[int]], order) -> list[int]:
 
 def _canonical_columns(rows: list[int], nbrs: list[list[int]]) -> list[int]:
     cells = _stable_partition(nbrs)
-    if all(len(cell) == 1 or _twin_class(rows, cell) for cell in cells):
+    if all(_twins(rows, cell[0], v) for cell in cells for v in cell[1:]):
         # twin collapse leaves one ordering: the cells in turn
         return _ordered_columns(nbrs, [v for cell in cells for v in cell])
     n = len(rows)
     cell_at = [cell for cell in cells for _ in cell]  # the class of each position
 
     best: list[int] | None = None
-    version = 0
-    cols: list[int] = []
+    cols: list[int] = []  # never above best[:k] on entry to dfs(k)
     pos = [0] * n  # bit n - 1 - i set: adjacent to the vertex at position i
     used = 0
 
-    def dfs(k: int, tight: bool) -> None:
-        nonlocal best, version, used
+    def dfs(k: int) -> None:
+        nonlocal best, used
         if k == n:
             if best is None or cols < best:
                 best = cols.copy()
-                version += 1
             return
         shift = n - k
         cands = [v for v in cell_at[k] if not used >> v & 1]
@@ -311,39 +310,28 @@ def _canonical_columns(rows: list[int], nbrs: list[list[int]]) -> list[int]:
         else:
             scored = [(pos[v] >> shift, v) for v in cands]
             mincol = min(scored)[0]
-        if tight and best is not None:
-            if mincol > best[k]:
-                return
-            subtight = mincol == best[k]
-        else:
-            subtight = False
+        cols.append(mincol)
+        # the cheap test first: cols > best needs the prefix equal to best's
+        if best is not None and mincol > best[k] and cols > best:
+            cols.pop()
+            return
         if len(cands) > 1:
-            # collapse twins: candidates identically wired to everything else
             reps = []
             for c, v in scored:
-                if c != mincol:
-                    continue
-                for u in reps:
-                    if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
-                        break
-                else:
+                if c == mincol and not any(_twins(rows, u, v) for u in reps):
                     reps.append(v)
         bit = 1 << n - 1 - k
-        myversion = version
-        cols.append(mincol)
         for v in reps:
             used |= 1 << v
             for u in nbrs[v]:
                 pos[u] |= bit
-            # a best found under an earlier sibling passed through this very
-            # column, so later siblings compare tight against it
-            dfs(k + 1, subtight or version != myversion)
+            dfs(k + 1)
             for u in nbrs[v]:
                 pos[u] ^= bit
             used ^= 1 << v
         cols.pop()
 
-    dfs(0, False)
+    dfs(0)
     assert best is not None
     return best
 

@@ -282,8 +282,8 @@ def test_usage_and_capacity_exit_codes(capsys):
 
 
 def test_order_ranges_are_bounded_before_they_are_built(capsys):
-    # an order past the graph capacity, or below 0, is refused while parsing
-    for text in ("2..65", "-1..5", "65", "-1"):
+    # an order past the graph capacity, below 0, or an empty range is refused while parsing
+    for text in ("2..65", "-1..5", "65", "-1", "5..3"):
         with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_orders(text)
         assert run(["verify-theorems", f"--n={text}"]) == 2, text

@@ -72,7 +72,7 @@ def test_most_children_are_dropped_before_canonizing(monkeypatch):
         return canonize(rows, nbrs)
 
     monkeypatch.setattr(enumeration, "canonize_rows", counting)
-    level = enumeration._next_level(parents, None, 1)
+    level = enumeration._next_level(parents, map(enumeration._expand_rows, parents.keys))
     assert 2 * calls < children
     assert list(level.keys) == sorted(_grow_every_child(parents.graphs))
 

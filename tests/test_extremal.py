@@ -130,6 +130,19 @@ def test_claim_against_a_ranking_too_short_fails_with_a_note():
     assert co_report.passed
 
 
+def test_claim_fails_when_its_tie_set_is_not_unique():
+    level = enumerate_two_trees(6)
+    so_report = rank_by(6, "so", "max", level=level)
+    co_report = rank_by(6, "so-bar", "min", level=level)
+    (value, top), (_, runner_up), *rest = so_report.groups
+    so_report.groups = [(value, sorted(top + runner_up)), *rest]
+    attach_claims(so_report, co_report)
+    check = so_report.claim_checks[0]
+    assert check.claim == "so-max" and not check.passed
+    assert check.note.startswith("tie set of size 2")
+    assert co_report.passed
+
+
 def test_rank_layer_keeps_values_and_keys_only():
     assert not hasattr(extremal, "RankedEntry")
     assert [f.name for f in dataclasses.fields(ExtremalReport)] == [

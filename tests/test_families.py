@@ -99,6 +99,8 @@ def test_recipe_validation():
     assert str(r) == "0,2,4"
     assert TwoTreeRecipe.parse("0,2,4") == r
     assert TwoTreeRecipe.parse("") == TwoTreeRecipe(())
+    with pytest.raises(CapacityError):
+        TwoTreeRecipe((0,) * (MAX_ORDER - 1))  # order 65
 
 
 def test_attach_requires_an_edge():

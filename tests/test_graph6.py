@@ -99,6 +99,8 @@ def test_parse_accepts_header_and_rejects_garbage():
         from_graph6("\x19\x19")  # characters outside the printable range
     with pytest.raises(ValueError):
         from_graph6("?")  # order 0
+    with pytest.raises(ValueError):
+        from_graph6("~??")  # truncated 18-bit order field
 
 
 def test_parse_networkx_output_for_all_order_7_two_trees():

@@ -12,8 +12,12 @@ from somborlab.graphs import (
     canonical_key,
     canonize_rows,
     is_two_tree,
+    _neighbor_lists,
+    _stable_partition,
+    _twins,
 )
-from somborlab.families import from_recipe, l_graph, linear_two_tree, random_recipe, x_graph
+from somborlab.enumeration import enumerate_levels
+from somborlab.families import complete, from_recipe, l_graph, linear_two_tree, random_recipe, x_graph
 from somborlab.graph6 import from_graph6
 
 
@@ -208,3 +212,36 @@ def test_enumerated_two_tree_invariants_hold():
             assert _is_connected(g)
             if n >= 3:
                 assert sum(1 for d in g.degrees() if d == 2) >= 2
+
+
+def test_twins_are_vertices_with_equal_neighbors_apart_from_each_other():
+    k3 = complete(3)._rows
+    assert all(_twins(k3, u, v) for u, v in itertools.combinations(range(3), 2))
+    for n in range(5, 10):
+        x = x_graph(n)._rows
+        assert _twins(x, 0, 1)  # the hubs: true twins, adjacent
+        assert all(_twins(x, 2, v) for v in range(3, n))  # the leaves: false twins
+        assert not _twins(x, 0, 2)
+        assert not _twins(linear_two_tree(n)._rows, 0, n - 1)  # the two ends
+
+
+def test_twin_shortcut_matches_open_or_closed_neighborhoods_on_every_child():
+    # the reference: every vertex of a class has one open, or one closed, neighborhood
+    def reference(rows, cell):
+        f = cell[0]
+        return (all(rows[u] == rows[f] for u in cell)
+                or all(rows[u] | 1 << u == rows[f] | 1 << f for u in cell))
+
+    seen = set()  # (twin class?, adjacent?) of the classes with two or more vertices
+    for level in enumerate_levels(8):
+        for g in level.graphs:
+            for u, v in g.edges():
+                rows = g._rows + [1 << u | 1 << v]
+                rows[u] |= 1 << g.order
+                rows[v] |= 1 << g.order
+                for cell in _stable_partition(_neighbor_lists(rows)):
+                    twins = all(_twins(rows, cell[0], w) for w in cell[1:])
+                    assert twins == reference(rows, cell), (rows, cell)
+                    if len(cell) > 1:
+                        seen.add((twins, bool(rows[cell[0]] >> cell[1] & 1)))
+    assert {(True, True), (True, False), (False, False)} <= seen
