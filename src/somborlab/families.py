@@ -48,17 +48,16 @@ class TwoTreeRecipe:
 
 def from_recipe(recipe: TwoTreeRecipe) -> Graph:
     """Replay a construction trace into a two-tree of order ``len(steps) + 2``."""
-    g = Graph(recipe.order)
-    g.add_edge(0, 1)
+    rows = [0] * recipe.order
+    rows[0], rows[1] = 0b10, 0b01
     edges = [(0, 1)]
-    for t, choice in enumerate(recipe.steps, start=1):
+    for w, choice in enumerate(recipe.steps, start=2):
         a, b = edges[choice]
-        w = t + 1
-        g.add_edge(a, w)
-        g.add_edge(b, w)
-        edges.append((a, w))
-        edges.append((b, w))
-    return g
+        rows[a] |= 1 << w
+        rows[b] |= 1 << w
+        rows[w] = 1 << a | 1 << b
+        edges += (a, w), (b, w)
+    return Graph._from_rows(rows)
 
 
 def attach(g: Graph, u: int, v: int) -> Graph:

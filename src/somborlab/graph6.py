@@ -3,9 +3,11 @@
 The graph6 encoder is bit-exact against the published format definition:
 an order field (one byte for orders up to 62, a ``~``-prefixed 18-bit field
 above) followed by the upper triangle of the adjacency matrix in column
-order, packed into 6-bit printable characters.  The decoder validates its
+order, packed into 6-bit printable characters; the packing is the one
+:mod:`somborlab.graphs` uses for canonical keys.  The decoder validates its
 input and then hands it to :func:`~somborlab.graphs.graph_of_key`, the one
 unchecked decoder that also turns canonical keys back into their graphs.
+DOT output quotes the graph name, escaping backslashes and double quotes.
 """
 
 from __future__ import annotations
@@ -47,8 +49,13 @@ def from_graph6(text: str | bytes) -> Graph:
 
 
 def to_dot(g: Graph, name: str = "G") -> str:
-    """DOT rendering with per-vertex degree labels."""
-    lines = [f'graph "{name}" {{']
+    """DOT rendering with per-vertex degree labels.
+
+    The name is written as a quoted DOT ID, with ``\\`` and ``"`` escaped
+    as ``\\\\`` and ``\\"`` so that no name can close the quotes early.
+    """
+    quoted = name.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'graph "{quoted}" {{']
     for v in range(g.order):
         lines.append(f'  {v} [label="{v} (deg {g.degree(v)})"];')
     for u, v in g.edges():

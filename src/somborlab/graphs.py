@@ -10,11 +10,16 @@ The canonical key of a graph is the graph6 encoding of a canonically
 relabeled copy, so equal keys mean isomorphic graphs and every key is itself
 a valid, printable graph6 string.  Decoding a key (:func:`graph_of_key`)
 gives the canonical form, so a key alone stands for its graph and nothing
-else needs to be stored.
+else needs to be stored.  The codec (:func:`_graph6_pack`,
+:func:`_graph6_rows`) holds the upper triangle as one integer and leaves the
+6-bit groups to :mod:`binascii`: graph6 and base64 both write one character
+per sextet, so base64 text with its alphabet translated onto ``?``..``~`` is
+the graph6 body.
 """
 
 from __future__ import annotations
 
+import binascii
 from typing import Iterable, Iterator
 
 MAX_ORDER = 64
@@ -109,10 +114,16 @@ class Graph:
         """Image under the vertex relabeling ``v -> perm[v]``."""
         if sorted(perm) != list(range(self.order)):
             raise ValueError("perm must be a permutation of the vertex ids")
-        g = Graph(self.order)
-        for u, v in self.edges():
-            g.add_edge(perm[u], perm[v])
-        return g
+        bit = [1 << p for p in perm]
+        rows = [0] * self.order
+        for u, row in enumerate(self._rows):
+            image = 0
+            while row:
+                low = row & -row
+                image |= bit[low.bit_length() - 1]
+                row ^= low
+            rows[perm[u]] = image
+        return Graph._from_rows(rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -131,13 +142,17 @@ def _bits(x: int) -> Iterator[int]:
 
 
 def is_two_tree(g: Graph) -> bool:
-    """Recognize two-trees by reverse construction.
+    """Recognize two-trees by peeling ears.
 
-    True when the graph can be reduced to a single edge by repeatedly
-    deleting a degree-2 vertex whose two neighbors are adjacent.  The
-    lowest-indexed eligible vertex is deleted at each step; for genuine
-    two-trees every degree-2 vertex is eligible and any deletion order
-    succeeds, so the tie-break cannot change the verdict.
+    True when the graph has ``2n - 3`` edges and can be reduced to a single
+    edge by repeatedly deleting a vertex of degree 2 whose two neighbors are
+    adjacent (an ear).  A stack holds the candidates: every vertex of degree
+    2 at the start, and every vertex whose degree falls to 2 as its
+    neighbors are deleted, so each vertex is pushed at most once and the
+    peel takes linear work.  The deletion order cannot change the verdict: a
+    peel that ends at an edge reverses into a construction of the graph, and
+    in a two-tree every vertex of degree 2 is an ear and deleting it leaves
+    a two-tree, so no order gets stuck.
     """
     n = g.order
     if n < 2:
@@ -145,23 +160,27 @@ def is_two_tree(g: Graph) -> bool:
     if g.edge_count() != 2 * n - 3:
         return False
     rows = g._rows
+    degree = [row.bit_count() for row in rows]
+    stack = [v for v in range(n) if degree[v] == 2]
     alive = (1 << n) - 1
     remaining = n
-    while remaining > 2:
-        for v in range(n):
-            if not alive >> v & 1:
-                continue
-            nb = rows[v] & alive & ~(1 << v)
-            if nb.bit_count() != 2:
-                continue
-            a = (nb & -nb).bit_length() - 1
-            b = nb.bit_length() - 1
-            if rows[a] >> b & 1:
-                alive &= ~(1 << v)
-                remaining -= 1
-                break
-        else:
-            return False
+    while remaining > 2 and stack:
+        v = stack.pop()
+        if degree[v] != 2:  # it lost a neighbor since it was pushed
+            continue
+        nb = rows[v] & alive
+        a = (nb & -nb).bit_length() - 1
+        b = nb.bit_length() - 1
+        if not rows[a] >> b & 1:
+            continue  # its neighbors stay apart, so it never becomes an ear
+        alive ^= 1 << v
+        remaining -= 1
+        for u in (a, b):
+            degree[u] -= 1
+            if degree[u] == 2:
+                stack.append(u)
+    if remaining > 2:
+        return False
     a = (alive & -alive).bit_length() - 1
     b = alive.bit_length() - 1
     return bool(rows[a] >> b & 1)
@@ -336,6 +355,13 @@ def _canonical_columns(rows: list[int], nbrs: list[list[int]]) -> list[int]:
     return best
 
 
+# graph6 writes sextet ``x`` as the byte ``x + 63``; base64 writes it as
+# ``_BASE64[x]``, so binascii converts the packed bits to sextets and back in C.
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_FROM_BASE64 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+
+
 def _graph6_order_bytes(n: int) -> bytes:
     if n <= 62:
         return bytes([n + 63])
@@ -344,17 +370,14 @@ def _graph6_order_bytes(n: int) -> bytes:
 
 def _graph6_pack(order: int, columns: list[int]) -> bytes:
     acc = 0
-    nbits = 0
     for k in range(1, order):
         acc = acc << k | columns[k]
-        nbits += k
-    pad = -nbits % 6
-    acc <<= pad
-    nbits += pad
-    body = bytearray()
-    for shift in range(nbits - 6, -6, -6):
-        body.append((acc >> shift & 63) + 63)
-    return _graph6_order_bytes(order) + bytes(body)
+    nbits = order * (order - 1) // 2
+    groups = (nbits + 5) // 6
+    nbytes = (groups + 3) // 4 * 3  # whole base64 quanta: no '=' padding
+    acc <<= 8 * nbytes - nbits
+    sextets = binascii.b2a_base64(acc.to_bytes(nbytes, "big"), newline=False)
+    return _graph6_order_bytes(order) + sextets[:groups].translate(_FROM_BASE64)
 
 
 def _graph6_order(data: bytes) -> tuple[int, int]:
@@ -367,11 +390,9 @@ def _graph6_order(data: bytes) -> tuple[int, int]:
 def _graph6_rows(data: bytes) -> list[int]:
     """Rows of a well-formed graph6 string (either order field); inverts :func:`_graph6_pack`."""
     n, start = _graph6_order(data)
-    body = data[start:]
-    acc = 0
-    for group in body:
-        acc = acc << 6 | group - 63
-    acc >>= 6 * len(body) - n * (n - 1) // 2
+    body = data[start:].translate(_TO_BASE64)
+    raw = binascii.a2b_base64(body + b"A" * (-len(body) % 4))  # 'A' is sextet 0
+    acc = int.from_bytes(raw, "big") >> 8 * len(raw) - n * (n - 1) // 2
     rows = [0] * n
     for k in range(n - 1, 0, -1):  # the last column holds the lowest bits
         col = acc & ((1 << k) - 1)

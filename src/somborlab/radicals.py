@@ -6,12 +6,14 @@ is a nonzero integer of either sign; radicand 1 carries the plain integer
 part.  Square roots of distinct squarefree integers are linearly independent
 over the rationals, so the term map (with zero coefficients dropped) is a
 unique normal form: two sums are equal as real numbers exactly when their
-term maps coincide.  Strict order has one owner, :func:`sort_values`, which
-orders any number of distinct values without pairwise comparisons: each
-value gets one fixed-point integer key with a certified error bound, keys
-far enough apart order their values, and only runs of keys too close to
-separate are keyed again at doubled precision.  A single comparison is a
-sort of two values.
+term maps coincide.  Strict order rests on one fixed-point integer key per
+value and precision (:func:`_key`), within a certified error bound of the
+scaled value.  :func:`sort_values` orders any number of distinct values
+without pairwise comparisons: keys far enough apart order their values, and
+only runs of keys too close to separate are keyed again at doubled
+precision.  :meth:`RadicalSum.compare` takes the sign of the difference of
+two keys once it exceeds their joint error bound, doubling the precision
+until it does.
 """
 
 from __future__ import annotations
@@ -121,14 +123,27 @@ class RadicalSum:
     def compare(self, other: "RadicalSum") -> int:
         """Exact three-way comparison: -1, 0 or 1, the sign of ``self - other``.
 
-        Equality falls out of the unique normal form; two distinct values
-        are ordered by :func:`sort_values`.
+        Equality falls out of the unique normal form.  For two distinct
+        values the difference of their fixed-point keys (:func:`_key`) lies
+        within ``E``, the sum of ``|c|`` over both term maps, of
+        ``(self - other) * 2**bits``, so once it exceeds ``E`` it has the
+        sign of ``self - other``.  Until then ``bits`` doubles; past
+        ``_MAX_BITS`` :class:`ArithmeticError` is raised.
         """
         if not isinstance(other, RadicalSum):
             raise TypeError(f"cannot compare RadicalSum with {type(other).__name__}")
         if self._terms == other._terms:
             return 0
-        return -1 if sort_values((self, other))[0] is self else 1
+        error = sum(map(abs, self._terms.values())) + sum(map(abs, other._terms.values()))
+        bits = _START_BITS
+        while bits <= _MAX_BITS:
+            est = _key(self, bits) - _key(other, bits)
+            if abs(est) > error:
+                return 1 if est > 0 else -1
+            bits *= 2
+        raise ArithmeticError(
+            f"interval refinement failed to separate distinct values ({self!r} vs {other!r})"
+        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -185,26 +200,38 @@ def sort_values(values: Iterable[RadicalSum], reverse: bool = False) -> list[Rad
     """Pairwise distinct values in exact ascending (or, with ``reverse``,
     descending) order.
 
-    At ``bits`` of precision a value keys as ``est = sum c * isqrt(s * 4**bits)``,
-    which lies within ``M = sum |c|`` of ``value * 2**bits``.  With one ``M``
-    for the whole run (the largest), keys more than ``2*M`` apart order their
-    values, so the key-sorted run splits at every such gap into runs that are
-    ordered relative to each other.  A run of two or more values is keyed
-    again at doubled precision; past ``_MAX_BITS`` the values are taken to be
-    inseparable and :class:`ArithmeticError` is raised.
+    At ``bits`` of precision a value keys as ``est = sum c * isqrt(s * 4**bits)``
+    (:func:`_key`), which lies within ``M = sum |c|`` of ``value * 2**bits``.
+    With one ``M`` for the whole run (the largest), keys more than ``2*M``
+    apart order their values, so the key-sorted run splits at every such gap
+    into runs that are ordered relative to each other.  A run of two or more
+    values is keyed again at doubled precision; past ``_MAX_BITS`` the values
+    are taken to be inseparable and :class:`ArithmeticError` is raised.
     """
     done: list[RadicalSum] = []
-    _place(list(values), _START_BITS, reverse, {}, done)
+    _place(list(values), _START_BITS, reverse, done)
     return done
 
 
-def _place(
-    run: list[RadicalSum],
-    bits: int,
-    reverse: bool,
-    roots: dict[int, dict[int, int]],  # bits -> radicand -> isqrt(s << 2*bits)
-    done: list[RadicalSum],
-) -> None:
+# bits -> radicand -> isqrt(s << 2*bits); one entry per radicand and precision
+# met, shared by every key since the roots depend on nothing else
+_ROOTS: dict[int, dict[int, int]] = {}
+
+
+def _key(value: RadicalSum, bits: int) -> int:
+    """Fixed-point key ``sum c * isqrt(s << 2*bits)``, within ``sum |c|`` of
+    ``value * 2**bits``."""
+    roots = _ROOTS.setdefault(bits, {})
+    est = 0
+    for s, c in value._terms.items():
+        root = roots.get(s)
+        if root is None:
+            root = roots[s] = math.isqrt(s << 2 * bits)
+        est += c * root
+    return est
+
+
+def _place(run: list[RadicalSum], bits: int, reverse: bool, done: list[RadicalSum]) -> None:
     # append ``run`` to ``done`` in order, certified at ``bits`` or more
     if len(run) < 2:
         done.extend(run)
@@ -213,22 +240,13 @@ def _place(
         raise ArithmeticError(
             f"interval refinement failed to separate distinct values ({run[0]!r} vs {run[1]!r})"
         )
-    cache = roots.setdefault(bits, {})
-    keys = []
-    for v in run:
-        est = 0
-        for s, c in v._terms.items():
-            root = cache.get(s)
-            if root is None:
-                root = cache[s] = math.isqrt(s << 2 * bits)
-            est += c * root
-        keys.append(est)
+    keys = [_key(v, bits) for v in run]
     gap = 2 * max(sum(map(abs, v._terms.values())) for v in run)
     order = sorted(range(len(run)), key=keys.__getitem__, reverse=reverse)
     start = 0
     for i in range(1, len(order) + 1):
         if i == len(order) or abs(keys[order[i]] - keys[order[i - 1]]) > gap:
-            _place([run[j] for j in order[start:i]], 2 * bits, reverse, roots, done)
+            _place([run[j] for j in order[start:i]], 2 * bits, reverse, done)
             start = i
 
 

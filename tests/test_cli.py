@@ -248,6 +248,8 @@ def test_export_from_g6(capsys):
     assert capsys.readouterr().out == EXPORT_DF_DOT
     assert run(["export", "--g6", "DF{"]) == 0
     assert capsys.readouterr().out == "DF{\n"
+    assert run(["export", "--g6", "C\\", "--format", "dot"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == 'graph "C\\\\" {'
 
 
 def test_failed_claim_exits_one(capsys, monkeypatch):

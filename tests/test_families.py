@@ -137,3 +137,18 @@ def test_named_families_are_two_trees():
                   complete_bipartite(2, n - 2))
         for g in family:
             assert degree_histogram(g) == tuple(sorted(Counter(g.degrees()).items()))
+
+
+def test_from_recipe_equals_the_edge_by_edge_replay():
+    rng = random.Random(37)
+    for n in range(2, MAX_ORDER + 1):
+        recipe = random_recipe(n, rng)
+        expected = Graph(n)
+        expected.add_edge(0, 1)
+        edges = [(0, 1)]
+        for t, choice in enumerate(recipe.steps, start=1):
+            a, b = edges[choice]
+            expected.add_edge(a, t + 1)
+            expected.add_edge(b, t + 1)
+            edges += (a, t + 1), (b, t + 1)
+        assert from_recipe(recipe) == expected

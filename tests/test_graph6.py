@@ -6,7 +6,11 @@ import pytest
 
 from somborlab.families import complete, from_recipe, l_graph, linear_two_tree, random_recipe, x_graph
 from somborlab.graph6 import from_graph6, to_dot, to_graph6
-from somborlab.graphs import Graph, are_isomorphic
+from somborlab.enumeration import enumerate_levels
+from somborlab.graphs import (
+    Graph, _graph6_order, _graph6_order_bytes, _graph6_pack, _graph6_rows, _neighbor_lists,
+    _ordered_columns, are_isomorphic,
+)
 
 
 def test_k2_encodes_to_known_string():
@@ -91,15 +95,15 @@ def test_decoder_round_trip_at_every_order():
 def test_parse_accepts_header_and_rejects_garbage():
     assert from_graph6(">>graph6<<A_") == Graph.from_edges(2, [(0, 1)])
     assert from_graph6(b"A_\n") == Graph.from_edges(2, [(0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty graph6 string$"):
         from_graph6("")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^graph6 body has 0 characters, expected 1 for order 2$"):
         from_graph6("A")  # truncated body
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid graph6 characters in '\\x19\\x19'$"):
         from_graph6("\x19\x19")  # characters outside the printable range
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^order must be in 1..64, got 0$"):
         from_graph6("?")  # order 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^truncated graph6 order field$"):
         from_graph6("~??")  # truncated 18-bit order field
 
 
@@ -118,3 +122,61 @@ def test_dot_output_lists_every_edge_with_degree_labels():
     assert '0 [label="0 (deg 4)"]' in dot
     assert '4 [label="4 (deg 2)"]' in dot
     assert dot.startswith('graph "X_5" {')
+
+
+def _pack_by_shifts(order: int, columns: list[int]) -> bytes:
+    # the bit-loop encoder binascii replaced, kept verbatim as the reference
+    acc = 0
+    nbits = 0
+    for k in range(1, order):
+        acc = acc << k | columns[k]
+        nbits += k
+    pad = -nbits % 6
+    acc <<= pad
+    nbits += pad
+    body = bytearray()
+    for shift in range(nbits - 6, -6, -6):
+        body.append((acc >> shift & 63) + 63)
+    return _graph6_order_bytes(order) + bytes(body)
+
+
+def _rows_by_shifts(data: bytes) -> list[int]:
+    # the bit-loop decoder binascii replaced, kept verbatim as the reference
+    n, start = _graph6_order(data)
+    body = data[start:]
+    acc = 0
+    for group in body:
+        acc = acc << 6 | group - 63
+    acc >>= 6 * len(body) - n * (n - 1) // 2
+    rows = [0] * n
+    for k in range(n - 1, 0, -1):  # the last column holds the lowest bits
+        col = acc & ((1 << k) - 1)
+        acc >>= k
+        while col:  # bit p - 1 of column k is the pair (k - p, k)
+            p = col.bit_length()
+            col ^= 1 << (p - 1)
+            rows[k - p] |= 1 << k
+            rows[k] |= 1 << (k - p)
+    return rows
+
+
+def test_codec_matches_the_bit_loop_reference():
+    rng = random.Random(43)
+    graphs = [complete(n) for n in (1, 2, 63, 64)] + [Graph(n) for n in (1, 2, 63, 64)]
+    for n in range(1, 65):
+        for density in (0.1, 0.5, 0.9):
+            pairs = itertools.combinations(range(n), 2)
+            graphs.append(Graph.from_edges(n, [pair for pair in pairs if rng.random() < density]))
+    keys = [key for level in enumerate_levels(10) for key in level.keys]
+    for key in keys:
+        assert _graph6_rows(key) == _rows_by_shifts(key)
+    for g in graphs + [Graph._from_rows(_rows_by_shifts(key)) for key in keys]:
+        columns = _ordered_columns(_neighbor_lists(g._rows), range(g.order))
+        data = _graph6_pack(g.order, columns)
+        assert data == _pack_by_shifts(g.order, columns)
+        assert _graph6_rows(data) == _rows_by_shifts(data) == g._rows
+
+
+def test_dot_name_is_escaped_inside_its_quotes():
+    assert to_dot(Graph(1), name="C\\").splitlines()[0] == 'graph "C\\\\" {'
+    assert to_dot(Graph(1), name='a"b').splitlines()[0] == 'graph "a\\"b" {'

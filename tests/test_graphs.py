@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -245,3 +246,99 @@ def test_twin_shortcut_matches_open_or_closed_neighborhoods_on_every_child():
                     if len(cell) > 1:
                         seen.add((twins, bool(rows[cell[0]] >> cell[1] & 1)))
     assert {(True, True), (True, False), (False, False)} <= seen
+
+
+def _is_two_tree_by_rescan(g: Graph) -> bool:
+    # the quadratic recognizer the peel replaced, kept verbatim as the reference
+    n = g.order
+    if n < 2:
+        return False
+    if g.edge_count() != 2 * n - 3:
+        return False
+    rows = g._rows
+    alive = (1 << n) - 1
+    remaining = n
+    while remaining > 2:
+        for v in range(n):
+            if not alive >> v & 1:
+                continue
+            nb = rows[v] & alive & ~(1 << v)
+            if nb.bit_count() != 2:
+                continue
+            a = (nb & -nb).bit_length() - 1
+            b = nb.bit_length() - 1
+            if rows[a] >> b & 1:
+                alive &= ~(1 << v)
+                remaining -= 1
+                break
+        else:
+            return False
+    a = (alive & -alive).bit_length() - 1
+    b = alive.bit_length() - 1
+    return bool(rows[a] >> b & 1)
+
+
+def _shuffled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return g.relabeled(perm)
+
+
+def _recognition_cases():
+    rng = random.Random(19)
+    for level in enumerate_levels(9):
+        yield from level.graphs
+    for n in range(2, 65):
+        yield _shuffled(from_recipe(random_recipe(n, rng)), rng)
+    for n in range(2, 41):
+        m = 2 * n - 3
+        pairs = list(itertools.combinations(range(n), 2))
+        yield Graph.from_edges(n, rng.sample(pairs, m))
+        # every edge inside a random subset: the other vertices are isolated
+        for size in range(3, n):
+            inner = list(itertools.combinations(rng.sample(range(n), size), 2))
+            if len(inner) >= m:
+                yield Graph.from_edges(n, rng.sample(inner, m))
+                break
+        # no edge between two random halves: disconnected
+        half = set(rng.sample(range(n), n // 2))
+        apart = [(u, v) for u, v in pairs if (u in half) == (v in half)]
+        if len(apart) >= m:
+            yield Graph.from_edges(n, rng.sample(apart, m))
+        # each new vertex joined to two earlier ones, adjacent or not: 2n - 3
+        # edges and a full peel of degree-2 vertices, but not always of ears
+        if n >= 3:
+            edges = [(0, 1)] + [(u, w) for w in range(2, n) for u in rng.sample(range(w), 2)]
+            yield _shuffled(Graph.from_edges(n, edges), rng)
+    # near misses: a two-tree with one edge moved to a non-edge
+    for n in range(4, 41):
+        g = from_recipe(random_recipe(n, rng))
+        edges = g.edges()
+        edges.remove(rng.choice(edges))
+        edges.append(rng.choice(g.non_edges()))
+        yield _shuffled(Graph.from_edges(n, edges), rng)
+
+
+def test_peel_agrees_with_the_quadratic_rescan():
+    verdicts = Counter()
+    for g in _recognition_cases():
+        expected = _is_two_tree_by_rescan(g)
+        assert is_two_tree(g) == expected, g
+        verdicts[expected] += 1
+    assert verdicts[True] > 250 and verdicts[False] > 150
+
+
+def test_relabeled_equals_the_edge_by_edge_image():
+    rng = random.Random(29)
+    for n in range(1, 65):
+        g = from_recipe(random_recipe(n, rng)) if n > 1 else Graph(1)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        expected = Graph(n)
+        for u, v in g.edges():
+            expected.add_edge(perm[u], perm[v])
+        assert g.relabeled(perm) == expected
+    with pytest.raises(ValueError, match="permutation"):
+        x_graph(4).relabeled([0, 1, 2, 2])
+    with pytest.raises(ValueError, match="permutation"):
+        x_graph(4).relabeled([0, 1, 2])

@@ -249,3 +249,53 @@ def test_sort_values_small_inputs_and_unseparated_values(monkeypatch):
     assert sort_values([sqrt_int(3)]) == [sqrt_int(3)]
     with pytest.raises(ArithmeticError, match="interval refinement failed"):
         sort_values([sqrt_int(3), sqrt_int(2)])
+
+
+def _sign_of(x: int, y: int) -> int:
+    # exact sign of x + y*sqrt(2), by squaring
+    if x >= 0 and y >= 0:
+        return int(x > 0 or y > 0)
+    if x <= 0 and y <= 0:
+        return -1
+    return (1 if x * x > 2 * y * y else -1) * (1 if x > 0 else -1)
+
+
+def test_compare_agrees_with_sort_values_on_random_pairs():
+    rng = random.Random(5)
+    pool = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 29, 34, 41, 58]
+    def rand_sum():
+        return RadicalSum({s: rng.randrange(-40, 41) for s in rng.sample(pool, rng.randrange(1, 5))})
+    for _ in range(3_000):
+        a, b = rand_sum(), rand_sum()
+        if a == b:
+            continue
+        assert a.compare(b) == (-1 if sort_values([a, b])[0] is a else 1)
+
+
+def test_compare_doubles_precision_on_consecutive_convergents(monkeypatch):
+    # p/q runs through the convergents of sqrt(2), so p - q*sqrt(2) shrinks
+    # like 1/q: pairs of them differ by far less than the 64-bit key error
+    values, p, q = [], 1, 1
+    for _ in range(120):
+        values.append((p, q))
+        p, q = p + 2 * q, p + q
+    for step in (1, 2):  # neighbours alternate in sign, the next but one do not
+        for (p, q), (p2, q2) in zip(values, values[step:]):
+            a = RadicalSum({1: p, 2: -q})
+            b = RadicalSum({1: p2, 2: -q2})
+            expected = _sign_of(p - p2, q2 - q)
+            assert a.compare(b) == expected and b.compare(a) == -expected
+            assert a.compare(b) == (-1 if sort_values([a, b])[0] is a else 1)
+    # the starting precision alone cannot separate the last pair
+    monkeypatch.setattr(radicals, "_MAX_BITS", radicals._START_BITS)
+    with pytest.raises(ArithmeticError, match="interval refinement failed"):
+        a.compare(b)
+
+
+def test_compare_gives_zero_only_on_equal_values_and_needs_a_radical_sum():
+    a = RadicalSum({1: 3, 2: -5, 13: 2})
+    assert a.compare(sqrt_int(52) + 3 - sqrt_int(50)) == 0
+    assert a.compare(a) == 0 and RadicalSum.zero().compare(RadicalSum.integer(0)) == 0
+    for other in (0, 1.5, "1"):
+        with pytest.raises(TypeError, match="cannot compare RadicalSum"):
+            a.compare(other)
