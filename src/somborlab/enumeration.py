@@ -160,7 +160,7 @@ def _next_level(level: EnumLevel, children) -> EnumLevel:
 
 
 def _base_level() -> EnumLevel:
-    return EnumLevel(2, (canonical_key(Graph.from_edges(2, [(0, 1)])),))
+    return EnumLevel(2, (canonical_key(Graph._from_rows([0b10, 0b01])),))
 
 
 def enumerate_levels(max_order: int, cap: int = DEFAULT_CAP, workers: int = 1):

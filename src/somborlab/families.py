@@ -1,9 +1,17 @@
 """Deterministic constructors for named graph families and recipe-built two-trees.
 
 A two-tree recipe is the construction trace itself: starting from a single
-edge, step ``t`` picks the index (in insertion order) of an existing edge
-and glues a new vertex onto both of its endpoints.  Every two-tree arises
-from some recipe, and every recipe yields a two-tree.
+edge ``(0, 1)`` (edge 0), step ``t`` picks the index (in insertion order) of
+an existing edge and glues the new vertex ``t + 1`` onto both of its
+endpoints, adding edges ``2t - 1`` and ``2t``.  Every two-tree arises from
+some recipe, and every recipe yields a two-tree.
+
+:func:`from_recipe` is the one way this module builds a two-tree; the named
+families replay fixed recipes.  The book ``X_n`` picks edge 0 at every step,
+``L_n`` is the book of order ``n - 1`` plus a last step on edge 1, ``(0, 2)``,
+and the linear two-tree picks edge ``2t - 2``, the newest edge
+``(t - 1, t)``, at step ``t``.  Every builder writes the adjacency rows
+directly; none adds edges one at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +20,13 @@ import random
 from dataclasses import dataclass
 
 from .graphs import MAX_ORDER, CapacityError, Graph
+
+
+def _capped(order: int) -> int:
+    """``order``, refused past capacity before any recipe step is listed or drawn."""
+    if order > MAX_ORDER:
+        raise CapacityError(f"recipe order {order} exceeds capacity {MAX_ORDER}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -27,8 +42,7 @@ class TwoTreeRecipe:
                 raise ValueError(
                     f"step {t} picks edge {choice}, but only {2 * t - 1} edges exist"
                 )
-        if self.order > MAX_ORDER:
-            raise CapacityError(f"recipe order {self.order} exceeds capacity {MAX_ORDER}")
+        _capped(self.order)
 
     @property
     def order(self) -> int:
@@ -64,39 +78,30 @@ def attach(g: Graph, u: int, v: int) -> Graph:
     """One growth step: a new vertex adjacent to both endpoints of edge ``uv``."""
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge; a two-tree step needs one")
-    child = Graph(g.order + 1)
-    for a, b in g.edges():
-        child.add_edge(a, b)
-    child.add_edge(u, g.order)
-    child.add_edge(v, g.order)
-    return child
+    rows = g._rows + [1 << u | 1 << v]
+    rows[u] |= 1 << g.order
+    rows[v] |= 1 << g.order
+    return Graph._from_rows(rows)
 
 
 def random_recipe(order: int, rng: random.Random) -> TwoTreeRecipe:
     """Uniformly random edge choice at every step (not uniform over graphs)."""
     if order < 2:
         raise ValueError(f"a two-tree has order at least 2, got {order}")
-    if order > MAX_ORDER:  # before drawing, so a refused order costs no steps
-        raise CapacityError(f"recipe order {order} exceeds capacity {MAX_ORDER}")
-    return TwoTreeRecipe(tuple(rng.randrange(2 * t - 1) for t in range(1, order - 1)))
+    steps = range(1, _capped(order) - 1)
+    return TwoTreeRecipe(tuple(rng.randrange(2 * t - 1) for t in steps))
 
 
 def complete(n: int) -> Graph:
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.add_edge(u, v)
-    return g
+    Graph(n)  # refuses a bad order before the rows are listed
+    return Graph._from_rows([((1 << n) - 1) ^ 1 << v for v in range(n)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError(f"both parts need at least one vertex, got ({a}, {b})")
-    g = Graph(a + b)
-    for u in range(a):
-        for v in range(a, a + b):
-            g.add_edge(u, v)
-    return g
+    Graph(a + b)  # refuses a bad order before the rows are listed
+    return Graph._from_rows([((1 << b) - 1) << a] * a + [(1 << a) - 1] * b)
 
 
 def x_graph(n: int) -> Graph:
@@ -104,27 +109,24 @@ def x_graph(n: int) -> Graph:
 
     Hubs get degree ``n - 1``, every other vertex degree 2.  By convention
     the family starts at a single edge (order 2) and the triangle (order 3).
+    Recipe: edge 0, the hub edge ``(0, 1)``, at every step.
     """
     if n < 2:
         raise ValueError(f"x_graph needs order >= 2, got {n}")
-    g = Graph(n)
-    g.add_edge(0, 1)
-    for v in range(2, n):
-        g.add_edge(0, v)
-        g.add_edge(1, v)
-    return g
+    return from_recipe(TwoTreeRecipe((0,) * (_capped(n) - 2)))
 
 
 def l_graph(n: int) -> Graph:
     """The second-extremal family: one extra vertex glued onto a hub-leaf edge.
 
-    Built from the order ``n - 1`` book by attaching a new vertex to hub 0
-    and leaf 2 (all hub/leaf choices give isomorphic results; fixed ids keep
-    the output reproducible).  Degree sequence ``(n-1, n-2, 3, 2, ..., 2)``.
+    The order ``n - 1`` book with a new vertex attached to hub 0 and leaf 2
+    (all hub/leaf choices give isomorphic results; fixed ids keep the output
+    reproducible): recipe ``(0, ..., 0, 1)``, edge 1 being ``(0, 2)``.
+    Degree sequence ``(n-1, n-2, 3, 2, ..., 2)``.
     """
     if n < 5:
         raise ValueError(f"l_graph needs order >= 5, got {n}")
-    return attach(x_graph(n - 1), 0, 2)
+    return from_recipe(TwoTreeRecipe((0,) * (_capped(n) - 3) + (1,)))
 
 
 def linear_two_tree(n: int) -> Graph:
@@ -132,12 +134,8 @@ def linear_two_tree(n: int) -> Graph:
 
     Degree pattern ``2, 3, 4, ..., 4, 3, 2``.  Included as a documented
     candidate family for the open extremes, not as a settled answer.
+    Recipe ``(0, 2, 4, ...)``: step ``t`` picks the newest edge ``(t - 1, t)``.
     """
     if n < 3:
         raise ValueError(f"linear_two_tree needs order >= 3, got {n}")
-    g = Graph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    for i in range(n - 2):
-        g.add_edge(i, i + 2)
-    return g
+    return from_recipe(TwoTreeRecipe(tuple(range(0, 2 * _capped(n) - 5, 2))))

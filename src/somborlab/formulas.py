@@ -168,14 +168,17 @@ _SWEEPS = {
 }
 SWEEP_IDS = tuple(_SWEEPS)
 _MIN_LIMIT = max(max(x_lo, y_lo) for _, x_lo, y_lo in _SWEEPS.values())
+# the float checks flag no point up to here; past it rounding noise flags points
+# where a lemma holds (gap-monotone's first at x = 2060), until verdicts are exact
+_MAX_LIMIT = 1000
 
 
 def sweep_grid(sweep_id: str, limit: int = SWEEP_LIMIT) -> tuple[range, range]:
-    """The x and y grids of one sweep, from its first point up to ``limit`` (at least 3)."""
+    """The x and y grids of one sweep, from its first point up to ``limit`` (3..1000)."""
     if sweep_id not in _SWEEPS:
         raise ValueError(f"unknown sweep {sweep_id!r}; known: {SWEEP_IDS}")
-    if limit < _MIN_LIMIT:
-        raise ValueError(f"sweep limit must be at least {_MIN_LIMIT}, got {limit}")
+    if not _MIN_LIMIT <= limit <= _MAX_LIMIT:
+        raise ValueError(f"sweep limit must be in {_MIN_LIMIT}..{_MAX_LIMIT}, got {limit}")
     _, x_lo, y_lo = _SWEEPS[sweep_id]
     return range(x_lo, limit + 1), range(y_lo, limit + 1)
 

@@ -2,7 +2,8 @@
 
 The graph6 encoder is bit-exact against the published format definition:
 an order field (one byte for orders up to 62, a ``~``-prefixed 18-bit field
-above) followed by the upper triangle of the adjacency matrix in column
+above; a ``~~``-prefixed 36-bit field is refused, its orders being past
+capacity) followed by the upper triangle of the adjacency matrix in column
 order, packed into 6-bit printable characters; the packing is the one
 :mod:`somborlab.graphs` uses for canonical keys.  The decoder validates its
 input and then hands it to :func:`~somborlab.graphs.graph_of_key`, the one
@@ -13,7 +14,8 @@ DOT output quotes the graph name, escaping backslashes and double quotes.
 from __future__ import annotations
 
 from .graphs import (
-    Graph, _graph6_order, _graph6_pack, _neighbor_lists, _ordered_columns, graph_of_key,
+    MAX_ORDER, CapacityError, Graph, _graph6_order, _graph6_pack, _neighbor_lists,
+    _ordered_columns, graph_of_key,
 )
 
 _HEADER = ">>graph6<<"
@@ -38,6 +40,8 @@ def from_graph6(text: str | bytes) -> Graph:
         raise ValueError(f"invalid graph6 characters in {s!r}")
     if s[0] == "~" and len(s) < 4:  # '~' marker: 18-bit order
         raise ValueError("truncated graph6 order field")
+    if s.startswith("~~"):  # '~~' marker: 36-bit order, at least 258048
+        raise CapacityError(f"a '~~' graph6 order field holds an order past capacity {MAX_ORDER}")
     raw = s.encode("ascii")
     n, start = _graph6_order(raw)
     groups = (n * (n - 1) // 2 + 5) // 6

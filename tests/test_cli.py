@@ -222,6 +222,23 @@ def test_check_lemmas_default_grid(capsys):
     assert "coindex-gain-monotone: 0 violations (x 1..3, y 3..3)" in capsys.readouterr().out
 
 
+def test_check_lemmas_refuses_a_limit_past_the_float_range(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(cli.formulas, "lemma_sweep", no_sweep)
+    assert run(["check-lemmas", "--limit", "1001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep limit must be in 3..1000, got 1001\n"
+
+
+@pytest.mark.slow
+def test_check_lemmas_passes_at_the_largest_limit(capsys):
+    assert run(["check-lemmas", "--limit", "1000"]) == 0
+    assert capsys.readouterr().out.count(" 0 violations ") == 3
+
+
 def test_conjecture_flags_order_5(tmp_path, capsys):
     jpath = tmp_path / "conjecture.json"
     assert run(["conjecture", "--n", "5..6", "--json", str(jpath)]) == 0

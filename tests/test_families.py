@@ -85,8 +85,8 @@ def test_recipe_base_cases():
 
 
 def test_recipe_always_base_edge_builds_book():
-    for n in range(3, 12):
-        assert from_recipe(TwoTreeRecipe((0,) * (n - 2))) == x_graph(n)
+    for n in range(2, MAX_ORDER + 1):
+        assert from_recipe(TwoTreeRecipe((0,) * (n - 2))) == _x_graph_by_edges(n)
 
 
 def test_recipe_validation():
@@ -152,3 +152,114 @@ def test_from_recipe_equals_the_edge_by_edge_replay():
             expected.add_edge(b, t + 1)
             edges += (a, t + 1), (b, t + 1)
         assert from_recipe(recipe) == expected
+
+
+# the edge-by-edge builders the row-writing ones replaced, kept verbatim as references
+
+
+def _attach_by_edges(g: Graph, u: int, v: int) -> Graph:
+    """One growth step: a new vertex adjacent to both endpoints of edge ``uv``."""
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u}, {v}) is not an edge; a two-tree step needs one")
+    child = Graph(g.order + 1)
+    for a, b in g.edges():
+        child.add_edge(a, b)
+    child.add_edge(u, g.order)
+    child.add_edge(v, g.order)
+    return child
+
+
+def _complete_by_edges(n: int) -> Graph:
+    g = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            g.add_edge(u, v)
+    return g
+
+
+def _complete_bipartite_by_edges(a: int, b: int) -> Graph:
+    if a < 1 or b < 1:
+        raise ValueError(f"both parts need at least one vertex, got ({a}, {b})")
+    g = Graph(a + b)
+    for u in range(a):
+        for v in range(a, a + b):
+            g.add_edge(u, v)
+    return g
+
+
+def _x_graph_by_edges(n: int) -> Graph:
+    if n < 2:
+        raise ValueError(f"x_graph needs order >= 2, got {n}")
+    g = Graph(n)
+    g.add_edge(0, 1)
+    for v in range(2, n):
+        g.add_edge(0, v)
+        g.add_edge(1, v)
+    return g
+
+
+def _l_graph_by_edges(n: int) -> Graph:
+    if n < 5:
+        raise ValueError(f"l_graph needs order >= 5, got {n}")
+    return _attach_by_edges(_x_graph_by_edges(n - 1), 0, 2)
+
+
+def _linear_two_tree_by_edges(n: int) -> Graph:
+    if n < 3:
+        raise ValueError(f"linear_two_tree needs order >= 3, got {n}")
+    g = Graph(n)
+    for i in range(n - 1):
+        g.add_edge(i, i + 1)
+    for i in range(n - 2):
+        g.add_edge(i, i + 2)
+    return g
+
+
+def _outcome(build, *args):
+    """The graph ``build(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+_NAMED = (
+    (x_graph, _x_graph_by_edges),
+    (l_graph, _l_graph_by_edges),
+    (linear_two_tree, _linear_two_tree_by_edges),
+    (complete, _complete_by_edges),
+)
+
+
+def test_named_builders_equal_their_edge_by_edge_references():
+    # every order 1..64, each family's floor included, plus orders 0 and -1
+    for build, reference in _NAMED:
+        for n in range(-1, MAX_ORDER + 1):
+            assert _outcome(build, n) == _outcome(reference, n), (build.__name__, n)
+
+
+def test_two_tree_families_past_capacity_carry_the_recipe_message():
+    for build in (x_graph, l_graph, linear_two_tree):
+        # no tuple of 2 ** 70 steps can even be sized: refused before the steps are listed
+        for n in (MAX_ORDER + 1, 2 ** 70):
+            assert _outcome(build, n) == (CapacityError, f"recipe order {n} exceeds capacity 64")
+    for n in (MAX_ORDER + 1, 2 ** 70):
+        assert _outcome(complete, n) == _outcome(_complete_by_edges, n)
+
+
+def test_complete_bipartite_equals_its_edge_by_edge_reference():
+    for a in range(-1, 9):
+        for b in range(-1, MAX_ORDER + 2 - a):  # a + b = 65 is refused
+            assert _outcome(complete_bipartite, a, b) == _outcome(_complete_bipartite_by_edges, a, b)
+
+
+def test_attach_equals_its_edge_by_edge_reference():
+    rng = random.Random(41)
+    for n in range(2, MAX_ORDER + 1):  # order 64 grows past capacity
+        g = from_recipe(random_recipe(n, rng))
+        pairs = [(u, v) for u in range(-1, n + 1) for v in range(-1, n + 1)]  # out of range too
+        for u, v in rng.sample(pairs, 12) + g.edges()[:4]:
+            assert _outcome(attach, g, u, v) == _outcome(_attach_by_edges, g, u, v), (n, u, v)
+    g = x_graph(5)
+    attach(g, 0, 2)
+    assert g == _x_graph_by_edges(5)  # the parent is left as it was

@@ -8,8 +8,8 @@ from somborlab.families import complete, from_recipe, l_graph, linear_two_tree, 
 from somborlab.graph6 import from_graph6, to_dot, to_graph6
 from somborlab.enumeration import enumerate_levels
 from somborlab.graphs import (
-    Graph, _graph6_order, _graph6_order_bytes, _graph6_pack, _graph6_rows, _neighbor_lists,
-    _ordered_columns, are_isomorphic,
+    CapacityError, Graph, _graph6_order, _graph6_order_bytes, _graph6_pack, _graph6_rows,
+    _neighbor_lists, _ordered_columns, are_isomorphic,
 )
 
 
@@ -105,6 +105,8 @@ def test_parse_accepts_header_and_rejects_garbage():
         from_graph6("?")  # order 0
     with pytest.raises(ValueError, match="^truncated graph6 order field$"):
         from_graph6("~??")  # truncated 18-bit order field
+    with pytest.raises(CapacityError, match="^a '~~' graph6 order field holds an order past capacity 64$"):
+        from_graph6("~~??????")  # 36-bit order field: order 258048 at the least
 
 
 def test_parse_networkx_output_for_all_order_7_two_trees():
