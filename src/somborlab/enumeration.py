@@ -34,11 +34,10 @@ Expansion, filter included, is a pure function of the parent, so one code
 path serves any worker count: parents are mapped in-process with one worker,
 or through a single process pool that lives for the whole run with more, and
 the deterministic sort-unique merge keeps the output independent of the
-worker count.  With a pool the levels are pipelined: the expansion of level
-``n + 1`` is submitted before level ``n`` is yielded, so the workers grow
-the next level while the caller works on this one, and nothing is submitted
-past the last order asked for.  With one worker a level is expanded only
-when the caller asks for it.
+worker count.  Whatever the worker count, level ``n + 1`` is expanded only
+when the caller asks for it after taking level ``n``, and it is merged before
+it is yielded: no work is in flight while a level is with the caller, so a
+caller that stops or fails early has nothing to cancel.
 
 A second, slower route (filter all labeled graphs with the right edge count)
 cross-validates the counts at small orders.
@@ -144,15 +143,6 @@ def _expand_rows(parent: CanonicalKey) -> list[CanonicalKey]:
     return out
 
 
-def _expansions(level: EnumLevel, pool: ProcessPoolExecutor | None, workers: int):
-    """Each parent's kept child keys, in parent order: mapped lazily in this
-    process without a pool, or submitted to the pool at once."""
-    if pool is None:
-        return map(_expand_rows, level.keys)
-    chunk = max(1, len(level.keys) // (workers * 4))
-    return pool.map(_expand_rows, level.keys, chunksize=chunk)
-
-
 def _next_level(level: EnumLevel, children) -> EnumLevel:
     """The level after ``level``, merged from ``children``, the parents' expansions."""
     keys = sorted({key for batch in children for key in batch})
@@ -174,14 +164,15 @@ def enumerate_levels(max_order: int, cap: int = DEFAULT_CAP, workers: int = 1):
     processes = min(workers, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=processes) if workers > 1 else None
     try:
-        while True:
-            # the next level goes to the pool before this one is yielded, so the
-            # workers expand it while the caller works on this one
-            children = _expansions(level, pool, processes) if level.order < max_order else None
-            yield level
-            if children is None:
-                return
+        yield level
+        while level.order < max_order:
+            if pool is None:
+                children = map(_expand_rows, level.keys)
+            else:
+                chunk = max(1, level.count // (processes * 4))
+                children = pool.map(_expand_rows, level.keys, chunksize=chunk)
             level = _next_level(level, children)
+            yield level
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

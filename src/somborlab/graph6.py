@@ -2,9 +2,10 @@
 
 The graph6 encoder is bit-exact against the published format definition:
 an order field (one byte for orders up to 62, a ``~``-prefixed 18-bit field
-above; a ``~~``-prefixed 36-bit field is refused, its orders being past
-capacity) followed by the upper triangle of the adjacency matrix in column
-order, packed into 6-bit printable characters; the packing is the one
+above; an order past capacity is refused as soon as the field is read, so a
+``~~``-prefixed 36-bit field always is) followed by the upper triangle of
+the adjacency matrix in column order, packed into 6-bit printable
+characters; the packing is the one
 :mod:`somborlab.graphs` uses for canonical keys.  The decoder validates its
 input and then hands it to :func:`~somborlab.graphs.graph_of_key`, the one
 unchecked decoder that also turns canonical keys back into their graphs.
@@ -44,6 +45,8 @@ def from_graph6(text: str | bytes) -> Graph:
         raise CapacityError(f"a '~~' graph6 order field holds an order past capacity {MAX_ORDER}")
     raw = s.encode("ascii")
     n, start = _graph6_order(raw)
+    if n > MAX_ORDER:
+        raise CapacityError(f"graph6 order {n} is past capacity {MAX_ORDER}")
     groups = (n * (n - 1) // 2 + 5) // 6
     if len(raw) - start != groups:
         raise ValueError(

@@ -272,8 +272,6 @@ def _stable_partition(nbrs: list[list[int]]) -> list[list[int]]:
                     moved.append(v)
                 part.append(v)
             cells[start] = part
-        if len(cells) == len(nbrs):  # discrete
-            break
         near = {label[u] for v in moved for u in nbrs[v]}
         touched = [cells[at] for at in near if len(cells[at]) > 1]
     return [cells[at] for at in sorted(cells)]

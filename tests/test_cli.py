@@ -295,9 +295,12 @@ def test_usage_and_capacity_exit_codes(capsys):
         ["check-lemmas", "--limit", "1"],
         ["check-lemmas", "--limit", "0"],
         ["index", "--g6", "?"],  # order 0
+        ["index", "--g6", "~?A_"],  # an 18-bit order field past capacity
     ):
         assert run(argv) == 2, argv
-        assert "error:" in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert "error:" in err, argv
+    assert err == "error: graph6 order 160 is past capacity 64\n"  # the last case's message
 
 
 def test_order_ranges_are_bounded_before_they_are_built(capsys):

@@ -239,7 +239,7 @@ def test_pool_never_exceeds_the_cpu_count(monkeypatch):
     assert len(requested) == 1 and requested[0] <= os.cpu_count()
 
 
-def test_levels_are_pipelined_through_one_pool(monkeypatch):
+def _record_pool(monkeypatch) -> list:
     events = []
 
     class RecordingPool:
@@ -257,15 +257,34 @@ def test_levels_are_pipelined_through_one_pool(monkeypatch):
             events.append("shutdown")
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    return events
+
+
+def test_levels_are_built_when_asked_for(monkeypatch):
+    events = _record_pool(monkeypatch)
     keys = []
     for level in enumerate_levels(7, workers=2):
         events.append(("yield", level.order))
         keys.append(level.keys)
-    # level n + 1 is submitted before level n is yielded, and nothing past order 7
+    # level n goes to the pool only after level n - 1 has been yielded
     assert events == ["pool", *[event for n in range(3, 8)
-                                for event in (("submit", n), ("yield", n - 1))],
+                                for event in (("yield", n - 1), ("submit", n))],
                       ("yield", 7), "shutdown"]
     assert keys == [level.keys for level in enumerate_levels(7)]
+
+
+def test_a_closed_pooled_run_submitted_only_the_levels_it_yielded(monkeypatch):
+    events = _record_pool(monkeypatch)
+    levels = enumerate_levels(9, workers=2)
+    for level in levels:
+        events.append(("yield", level.order))
+        if level.order == 4:
+            break
+    levels.close()
+    # levels 2..4 taken: the expansions of levels 3 and 4, and nothing past them
+    kinds = [event[0] for event in events if isinstance(event, tuple)]
+    assert kinds.count("submit") == kinds.count("yield") - 1
+    assert events[-2:] == [("yield", 4), "shutdown"]
 
 
 def test_abandoned_pooled_run_leaves_no_workers():

@@ -107,6 +107,8 @@ def test_parse_accepts_header_and_rejects_garbage():
         from_graph6("~??")  # truncated 18-bit order field
     with pytest.raises(CapacityError, match="^a '~~' graph6 order field holds an order past capacity 64$"):
         from_graph6("~~??????")  # 36-bit order field: order 258048 at the least
+    with pytest.raises(CapacityError, match="^graph6 order 160 is past capacity 64$"):
+        from_graph6("~?A_")  # 18-bit order field, refused before its body is measured
 
 
 def test_parse_networkx_output_for_all_order_7_two_trees():
