@@ -53,6 +53,17 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+def _parse_cap(text: str) -> int:
+    """An enumeration cap, at least 2: the smallest order of a two-tree."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cap must be an integer, got {text!r}") from None
+    if cap < 2:
+        raise argparse.ArgumentTypeError(f"cap must be at least 2, got {cap}")
+    return cap
+
+
 def _fmt_float(x: float) -> str:
     return f"{x:.10g}"
 
@@ -382,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--n", type=_parse_orders, required=True,
                        help="order N or inclusive range A..B")
-        # a string default goes through type=int, so a bad env value is a usage error
-        p.add_argument("--cap", type=int, default=os.environ.get(CAP_ENV, DEFAULT_CAP),
+        # a string default goes through type=, so a bad env value is a usage error
+        p.add_argument("--cap", type=_parse_cap, default=os.environ.get(CAP_ENV, DEFAULT_CAP),
                        help=f"enumeration order cap (default {DEFAULT_CAP}, env {CAP_ENV})")
         p.add_argument("--workers", type=int, default=1,
                        help="process count for level expansion (at most the CPU count)")

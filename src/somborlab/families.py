@@ -54,7 +54,11 @@ class TwoTreeRecipe:
         text = text.strip()
         if not text:
             return cls(())
-        return cls(tuple(int(part) for part in text.split(",")))
+        try:
+            steps = tuple(int(part) for part in text.split(","))
+        except ValueError:
+            raise ValueError(f"recipe {text!r} is not a comma-separated list of integers") from None
+        return cls(steps)
 
     def __str__(self) -> str:
         return ",".join(str(s) for s in self.steps)

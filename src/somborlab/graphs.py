@@ -192,14 +192,11 @@ def is_two_tree(g: Graph) -> bool:
 # degree first, then each round splits every class by the sorted tuple of
 # its vertices' neighbor classes, and the subclasses take the old class's
 # slot in the class order, ordered by tuple.  Isomorphic graphs therefore
-# get corresponding ordered partitions.  The rounds run cell-locally: a class
-# is labeled by its first position in the ordered partition, so a split moves
-# only the vertices of its later subclasses, and a round re-signs only the
-# classes that hold a neighbor of a moved vertex, because no other class can
-# split.  Positions order the classes as a global round would, so every tuple
-# comparison and every split is the one a global round would give.
-# Refinement stops when the partition is discrete or a round splits nothing,
-# and returns the classes in order.
+# get corresponding ordered partitions.  Each round labels every vertex by
+# the index of its class and re-signs every class of two or more vertices;
+# the vertices of one class share a degree, so their tuples have one length.
+# Refinement stops when a round splits nothing (a discrete partition
+# included) and returns the classes in order, each in ascending vertex order.
 #
 # The key is then the lexicographically smallest packed upper-triangle
 # bitstring over all vertex orderings that list the classes in order.  Two
@@ -239,42 +236,31 @@ def _stable_partition(nbrs: list[list[int]]) -> list[list[int]]:
     by_degree: dict[int, list[int]] = {}
     for v, nb in enumerate(nbrs):
         by_degree.setdefault(len(nb), []).append(v)
-    label = [0] * len(nbrs)  # a class is labeled by its first position
-    cells: dict[int, list[int]] = {}
-    at = 0
-    for d in sorted(by_degree):
-        cell = cells[at] = by_degree[d]
-        for v in cell:
-            label[v] = at
-        at += len(cell)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    label = [0] * len(nbrs)  # the index of each vertex's class
     label_of = label.__getitem__
-    # the first round signs every class, later rounds only those next to a move
-    touched = [cell for cell in cells.values() if len(cell) > 1]
-    while touched:
-        splits = []
-        for cell in touched:
-            sigs = [tuple(sorted(map(label_of, nbrs[v]))) for v in cell]
-            if sigs.count(sigs[0]) < len(sigs):
-                splits.append(sorted(zip(sigs, cell)))
-        moved = []  # relabel only once every touched class is signed
-        for signed in splits:
-            sig0, v = signed[0]
-            at = start = label[v]  # the first subclass keeps the label
-            part: list[int] = []
+    while True:
+        for i, cell in enumerate(cells):
+            for v in cell:
+                label[v] = i
+        refined = []
+        for cell in cells:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            signed = sorted([(tuple(sorted(map(label_of, nbrs[v]))), v) for v in cell])
+            sig0 = signed[0][0]
+            part = []
             for sig, v in signed:
                 if sig != sig0:
-                    cells[start] = part
-                    start += len(part)
+                    refined.append(part)
                     part = []
                     sig0 = sig
-                if start != at:
-                    label[v] = start
-                    moved.append(v)
                 part.append(v)
-            cells[start] = part
-        near = {label[u] for v in moved for u in nbrs[v]}
-        touched = [cells[at] for at in near if len(cells[at]) > 1]
-    return [cells[at] for at in sorted(cells)]
+            refined.append(part)
+        if len(refined) == len(cells):
+            return cells
+        cells = refined
 
 
 def _twins(rows: list[int], u: int, v: int) -> bool:

@@ -176,9 +176,14 @@ class RadicalSum:
     # -- conversions -----------------------------------------------------
 
     def __float__(self) -> float:
-        # summed in ascending radicand order for reproducibility; error is
-        # bounded by (number of terms) * 1 ulp of the partial sums
-        return sum((c * math.sqrt(s) for s, c in sorted(self._terms.items())), 0.0)
+        # summed left to right in ascending radicand order, so the bytes do
+        # not depend on the Python version (from 3.12 on, sum() of floats is
+        # compensated); error is bounded by (number of terms) * 1 ulp of the
+        # partial sums
+        total = 0.0
+        for s, c in sorted(self._terms.items()):
+            total += c * math.sqrt(s)
+        return total
 
     def __str__(self) -> str:
         if not self._terms:

@@ -295,6 +295,7 @@ def test_usage_and_capacity_exit_codes(capsys):
         ["check-lemmas", "--limit", "1"],
         ["check-lemmas", "--limit", "0"],
         ["index", "--g6", "?"],  # order 0
+        ["index", "--recipe", "0,,1"],  # an empty step
         ["index", "--g6", "~?A_"],  # an 18-bit order field past capacity
     ):
         assert run(argv) == 2, argv
@@ -322,9 +323,22 @@ def test_cap_is_configurable(capsys, monkeypatch):
     monkeypatch.setenv("SOMBORLAB_CAP", "5")
     assert run(["enumerate", "--n", "6"]) == 2
     capsys.readouterr()
-    monkeypatch.setenv("SOMBORLAB_CAP", "abc")
-    assert run(["enumerate", "--n", "5"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # a cap that is not an integer, or below the smallest two-tree order, is
+    # refused while parsing, from the command line or the environment
+    for argv, env, message in (
+        ([], "abc", "cap must be an integer, got 'abc'"),
+        ([], "1", "cap must be at least 2, got 1"),
+        (["--cap", "1"], None, "cap must be at least 2, got 1"),
+        (["--cap", "-3"], None, "cap must be at least 2, got -3"),
+    ):
+        if env is None:
+            monkeypatch.delenv("SOMBORLAB_CAP", raising=False)
+        else:
+            monkeypatch.setenv("SOMBORLAB_CAP", env)
+        assert run(["enumerate", "--n", "5", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"somborlab enumerate: error: argument --cap: {message}"
 
 
 def test_unseparated_comparison_exits_two(capsys, monkeypatch):

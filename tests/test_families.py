@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -99,6 +100,10 @@ def test_recipe_validation():
     assert str(r) == "0,2,4"
     assert TwoTreeRecipe.parse("0,2,4") == r
     assert TwoTreeRecipe.parse("") == TwoTreeRecipe(())
+    for text in ("0,,1", "0,a", "0,"):
+        message = f"recipe '{text}' is not a comma-separated list of integers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TwoTreeRecipe.parse(text)
     with pytest.raises(CapacityError):
         TwoTreeRecipe((0,) * (MAX_ORDER - 1))  # order 65
 

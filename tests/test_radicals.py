@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -109,6 +110,23 @@ def test_float_evaluation():
     so_l5 = 2 * sqrt_int(13) + 4 * sqrt_int(5) + RadicalSum.integer(10) + 3 * sqrt_int(2)
     assert float(so_l5) == pytest.approx(30.398015148, abs=1e-8)
     assert float(RadicalSum.zero()) == 0.0
+
+
+def test_float_sums_left_to_right_in_radicand_order():
+    # a compensated sum (math.fsum, or sum() of floats from Python 3.12 on)
+    # rounds some of these differently, which would change report bytes
+    rng = random.Random(312)
+    pool = [k for k in range(1, 200) if _is_squarefree(k)]
+    compensated_differs = 0
+    for _ in range(500):
+        terms = {s: rng.randrange(-40, 41) or 1 for s in rng.sample(pool, rng.randrange(1, 12))}
+        products = [c * math.sqrt(s) for s, c in sorted(terms.items())]
+        reference = 0.0
+        for x in products:
+            reference += x
+        assert float(RadicalSum(terms)) == reference, terms
+        compensated_differs += math.fsum(products) != reference
+    assert compensated_differs > 0
 
 
 def test_rendering_radicands_ascending():
