@@ -44,8 +44,12 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     """A single order ``N`` or an inclusive range ``A..B``, checked against
     ``0..MAX_ORDER`` before it is built."""
     lo_text, dots, hi_text = text.partition("..")
-    lo = int(lo_text)
-    hi = int(hi_text) if dots else lo
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"orders must be an integer N or a range A..B, got {text!r}") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty order range {text!r}")
     if lo < 0 or hi > MAX_ORDER:

@@ -21,23 +21,18 @@ The rank is invariant, so that new vertex ranks top too and the child is
 kept.  This is the invariant-only first stage of McKay's canonical
 construction path (McKay, *Isomorph-free exhaustive generation*, 1998).
 
-The filter reads only the parent.  Growing on the edge ``uv`` raises the
-degrees of ``u`` and ``v`` and the common-neighbour count of that one pair
-by one each, and changes nothing else the rank reads: the new vertex's rank
-follows from the parent's numbers, and an ear keeps its parent rank unless
-it is adjacent to ``u`` or ``v``.  So each parent's neighbour lists, degrees
-and ear ranks are computed once, and per edge only the ears next to the
-edge are ranked again.  A kept child's rows and neighbour lists are the
-parent's with the new vertex added, and both go to the canonizer.
+The filter ranks each child's degree-2 vertices on the child itself, whose
+rows and neighbour lists are the parent's with the new vertex added.
 
 Expansion, filter included, is a pure function of the parent, so one code
-path serves any worker count: parents are mapped in-process with one worker,
-or through a single process pool that lives for the whole run with more, and
-the deterministic sort-unique merge keeps the output independent of the
-worker count.  Whatever the worker count, level ``n + 1`` is expanded only
-when the caller asks for it after taking level ``n``, and it is merged before
-it is yielded: no work is in flight while a level is with the caller, so a
-caller that stops or fails early has nothing to cancel.
+path serves any worker count: parents are mapped in-process when one worker
+or one CPU is all there is, or through a single process pool that lives for
+the whole run otherwise, and the deterministic sort-unique merge keeps the
+output independent of the worker count.  Whatever the worker count, level
+``n + 1`` is expanded only when the caller asks for it after taking level
+``n``, and it is merged before it is yielded: no work is in flight while a
+level is with the caller, so a caller that stops or fails early has nothing
+to cancel.
 
 A second, slower route (filter all labeled graphs with the right edge count)
 cross-validates the counts at small orders.
@@ -99,42 +94,32 @@ def _ear_rank(rows: list[int], x: int) -> tuple[int, int, int]:
 def _expand_rows(parent: CanonicalKey) -> list[CanonicalKey]:
     """Canonical keys of the parent's children whose new vertex has the top ear rank.
 
-    A child grown on an edge is kept only when no degree-2 vertex of the
-    child outranks the new vertex; duplicates among the kept are left to the
-    caller's merge.  The filter reads only the parent's degrees, common
-    counts and ear ranks (see the module docstring), and a kept child's
-    rows and neighbour lists are copied from the parent's.
+    The child grown on the edge ``uv`` is the parent's rows with the new
+    vertex ``n`` joined to ``u`` and ``v``.  Its degree-2 vertices are ``n``
+    and the parent's, less ``u`` and ``v``; each is ranked on the child, and
+    the child is kept only when none outranks ``n``.  Duplicates among the
+    kept are left to the caller's merge.  A kept child goes to the canonizer
+    with its neighbour lists, copied from the parent's.
     """
     rows = graph_of_key(parent)._rows
     n = len(rows)
     nbrs = _neighbor_lists(rows)
-    degrees = [len(nb) for nb in nbrs]
-    ears = [(_ear_rank(rows, x), x, *nbrs[x]) for x in range(n) if degrees[x] == 2]
+    ears = [x for x in range(n) if len(nbrs[x]) == 2]
     new = 1 << n
     out = []
     for u in range(n):
         for v in nbrs[u]:
             if v < u:
                 continue
-            du, dv = degrees[u] + 1, degrees[v] + 1
-            common = (rows[u] & rows[v]).bit_count() + 1
-            top = (du, dv, common) if du >= dv else (dv, du, common)
-            near = rows[u] | rows[v]  # u, v and every vertex adjacent to either
-            for rank, x, a, b in ears:
-                if near >> x & 1:
-                    if x == u or x == v:  # now of degree 3
-                        continue
-                    da = degrees[a] + (a == u or a == v)
-                    db = degrees[b] + (b == u or b == v)
-                    c = rank[2] + (a == u and b == v)
-                    rank = (da, db, c) if da >= db else (db, da, c)
-                if rank > top:
+            child = rows.copy()
+            child[u] |= new
+            child[v] |= new
+            child.append(1 << u | 1 << v)
+            top = _ear_rank(child, n)
+            for x in ears:
+                if x != u and x != v and _ear_rank(child, x) > top:
                     break
             else:
-                child = rows.copy()
-                child[u] |= new
-                child[v] |= new
-                child.append(1 << u | 1 << v)
                 child_nbrs = nbrs.copy()
                 child_nbrs[u] = nbrs[u] + [n]
                 child_nbrs[v] = nbrs[v] + [n]
@@ -160,9 +145,10 @@ def enumerate_levels(max_order: int, cap: int = DEFAULT_CAP, workers: int = 1):
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     level = _base_level()
-    # a pool forks all its processes at the first submit: never more than the host has CPUs
+    # a pool forks all its processes at the first submit: never more than the
+    # host has CPUs, and none when only one would run
     processes = min(workers, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=processes) if workers > 1 else None
+    pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
     try:
         yield level
         while level.order < max_order:

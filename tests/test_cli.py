@@ -341,6 +341,19 @@ def test_cap_is_configurable(capsys, monkeypatch):
         assert err.splitlines()[-1] == f"somborlab enumerate: error: argument --cap: {message}"
 
 
+def test_orders_that_are_not_integers_are_refused_while_parsing(capsys):
+    for text in ("abc", "5..x", "5..", ""):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._parse_orders(text)
+        for command in ("enumerate", "verify-theorems"):
+            assert run([command, "--n", text]) == 2, (command, text)
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines()[-1] == (
+                f"somborlab {command}: error: argument --n: "
+                f"orders must be an integer N or a range A..B, got {text!r}")
+
+
 def test_unseparated_comparison_exits_two(capsys, monkeypatch):
     # no precision is allowed, so every comparison of distinct values fails
     monkeypatch.setattr("somborlab.radicals._MAX_BITS", 0)

@@ -1,6 +1,5 @@
 import dataclasses
 import multiprocessing
-import os
 from math import comb, factorial
 
 import networkx as nx
@@ -210,6 +209,7 @@ def _count_pools(monkeypatch) -> list:
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)  # a pool runs on any host
     return started
 
 
@@ -234,9 +234,10 @@ def test_pool_never_exceeds_the_cpu_count(monkeypatch):
             raise Refused  # before any process is started
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
     with pytest.raises(Refused):
         list(enumerate_levels(3, workers=10**6))
-    assert len(requested) == 1 and requested[0] <= os.cpu_count()
+    assert requested == [3]
 
 
 def _record_pool(monkeypatch) -> list:
@@ -257,6 +258,7 @@ def _record_pool(monkeypatch) -> list:
             events.append("shutdown")
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)  # a pool runs on any host
     return events
 
 
@@ -294,6 +296,14 @@ def test_abandoned_pooled_run_leaves_no_workers():
             break
     levels.close()
     assert multiprocessing.active_children() == []
+
+
+def test_one_cpu_runs_in_process_at_any_worker_count(monkeypatch):
+    events = _record_pool(monkeypatch)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
+    keys = [level.keys for level in enumerate_levels(7, workers=4)]
+    assert events == []  # no pool is built, so no process is forked
+    assert keys == [level.keys for level in enumerate_levels(7)]
 
 
 def test_capacity_errors():

@@ -224,6 +224,15 @@ def test_conjecture_report_rejects_small_orders():
         conjecture_report([4])
 
 
+def test_no_orders_give_no_reports_and_enumerate_nothing(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("enumerated with no order asked for")
+
+    monkeypatch.setattr(extremal, "enumerate_levels", refused)
+    assert verify_theorems([]) == []
+    assert conjecture_report([]) == []
+
+
 def test_rank_by_with_forced_rekeying_matches_default(monkeypatch):
     level = enumerate_two_trees(9)
     expected = {(kind, d): rank_by(9, kind, d, level=level) for kind in ("so", "so-bar")

@@ -121,6 +121,8 @@ def test_random_recipes_always_yield_two_trees():
     for _ in range(500):
         g = from_recipe(random_recipe(rng.randrange(2, 21), rng))
         assert is_two_tree(g)
+    with pytest.raises(ValueError, match="^a two-tree has order at least 2, got 1$"):
+        random_recipe(1, rng)
 
 
 def test_random_recipe_refuses_an_order_past_capacity_before_drawing():

@@ -45,6 +45,8 @@ def test_domain_checks():
     with pytest.raises(ValueError):
         formulas.shifted_sqrt_gap(2, 0)
     with pytest.raises(ValueError):
+        formulas.shifted_sqrt_gap_diff(2, 1)
+    with pytest.raises(ValueError):
         formulas.coindex_step_gain(0, 5)
     with pytest.raises(ValueError):
         formulas.coindex_step_gain(1, 2)
