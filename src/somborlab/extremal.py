@@ -17,7 +17,7 @@ minimum index and the maximum coindex, so they rank nothing: the first
 Zagreb bound ``SO >= M1/sqrt(2)``, which depends only on the degree
 histogram, rules out all but a handful of graphs per order before any is
 evaluated, and one best-first search over the histograms finds both,
-evaluating each signature it reaches once.
+evaluating only the graphs it reaches.
 A report holds the two extremes as witnesses and checks them against the
 index bound and each reading of the coindex bound; each check keeps a float
 gap for display beside its verdict, the sign of the exact gap.  A failed
@@ -82,7 +82,7 @@ def _value_groups(level: EnumLevel) -> tuple[Groups, Groups]:
     signatures of one value makes each group one exact tie set.  Level keys
     are sorted, so sorting a group lists its keys in level order.
     """
-    by_signature: dict[tuple[int, ...], list[CanonicalKey]] = {}
+    by_signature: dict[tuple[tuple[int, int], ...], list[CanonicalKey]] = {}
     for key in level.keys:
         by_signature.setdefault(_signature(_graph6_rows(key)), []).append(key)
     so_groups: Groups = {}
@@ -119,8 +119,8 @@ def _extremes(level: EnumLevel) -> tuple[Extreme, Extreme]:
     ``-sqrt(2)*M1``, and the maximum coindex under ``2T - sqrt(2)*M1``.
     The bounds are doubled to keep their coefficients integral, and every
     bound and stop test is an exact comparison.  A visited key is decoded
-    again to its degree-pair signature, and each signature is evaluated
-    once, for its index and coindex together, as in :func:`_value_groups`.
+    again to its degree-pair signature, which is evaluated for its index and
+    coindex together, as in :func:`_value_groups`.
     """
     buckets: dict[Histogram, list[CanonicalKey]] = {}
     for key in level.keys:
@@ -128,13 +128,9 @@ def _extremes(level: EnumLevel) -> tuple[Extreme, Extreme]:
     root2 = sqrt_int(2)
     # sqrt(2)*M1 per histogram
     zagreb = {hist: root2 * sum(d * d * count for d, count in hist) for hist in buckets}
-    values: dict[tuple[int, ...], tuple[RadicalSum, RadicalSum]] = {}
 
     def evaluate(key: CanonicalKey) -> tuple[RadicalSum, RadicalSum]:
-        signature = _signature(_graph6_rows(key))
-        if signature not in values:  # each signature is evaluated at most once
-            values[signature] = _signature_values(signature)
-        return values[signature]
+        return _signature_values(_signature(_graph6_rows(key)))
 
     neg_so, min_key = _best_first(buckets, lambda hist: -zagreb[hist], lambda k: -evaluate(k)[0])
     max_co = _best_first(

@@ -52,6 +52,9 @@ def from_graph6(text: str | bytes) -> Graph:
         raise ValueError(
             f"graph6 body has {len(raw) - start} characters, expected {groups} for order {n}"
         )
+    padding = 6 * groups - n * (n - 1) // 2
+    if (raw[-1] - 63) & ((1 << padding) - 1):
+        raise ValueError(f"graph6 padding bits of {s!r} are not zero")
     return graph_of_key(raw)
 
 

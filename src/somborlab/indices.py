@@ -4,11 +4,11 @@ The index sums ``sqrt(d(u)^2 + d(v)^2)`` over edges; the coindex sums the
 same weight over non-adjacent pairs, with degrees always taken in the
 original graph (the coindex of a two-tree is not an index of its
 complement).  Each sum depends only on how many pairs have each pair of
-degrees, so one evaluator computes them all: a weighted count of
-degree-pair codes ``a << 6 | b`` (``a <= b``; degrees stay below 64).  The
-index counts the codes of the edges (:func:`_signature`); the all-pairs
-total counts the codes of every vertex pair, which the degree histogram
-gives, so it is computed once per histogram; and since edges and
+degrees, so one evaluator computes them all: a weighted count of degree
+pairs ``(a, b)`` with ``a <= b``, where ``(0, 0)`` weighs 0 and ``(0, d)``
+weighs ``d``.  The index counts the pairs of the edges (:func:`_signature`);
+the all-pairs total counts the pairs of every vertex pair, which the degree
+histogram gives, so it is computed once per histogram; and since edges and
 non-edges partition the vertex pairs, the coindex is the total minus the
 index.  No pair walk happens anywhere.  All sums are exact
 :class:`~somborlab.radicals.RadicalSum` values.
@@ -50,14 +50,14 @@ def _weight(a: int, b: int) -> RadicalSum:
     return sqrt_int(a * a + b * b)
 
 
-def _weighted_total(codes: dict[int, int]) -> RadicalSum:
-    """Each degree-pair code's weight (see :func:`_signature`) times its count,
-    summed.  Degree 0 is an isolated vertex: code 0 (two of them) weighs 0,
-    and code ``d`` (one beside a vertex of degree ``d``) weighs ``d``."""
+def _weighted_total(pairs: dict[tuple[int, int], int]) -> RadicalSum:
+    """Each degree pair's weight (see :func:`_signature`) times its count,
+    summed.  Degree 0 is an isolated vertex: ``(0, 0)`` (two of them) weighs
+    0, and ``(0, d)`` (one beside a vertex of degree ``d``) weighs ``d``."""
     terms: dict[int, int] = {}
-    for code, count in codes.items():
-        if count and code:  # a degree held by one vertex pairs with itself 0 times
-            for s, c in _weight(code >> 6, code & 63)._terms.items():
+    for (a, b), count in pairs.items():
+        if count and b:  # a degree held by one vertex pairs with itself 0 times
+            for s, c in _weight(a, b)._terms.items():
                 terms[s] = terms.get(s, 0) + count * c
     return RadicalSum._unchecked(terms)
 
@@ -66,37 +66,36 @@ def sombor_index(g: Graph) -> IndexValue:
     return IndexValue(_weighted_total(Counter(_signature(g._rows))))
 
 
-def _signature(rows: list[int]) -> tuple[int, ...]:
+def _signature(rows: list[int]) -> tuple[tuple[int, int], ...]:
     """The sorted degree pairs of the edges of adjacency ``rows``, each pair
-    ``(a, b)`` with ``a <= b`` coded as ``a << 6 | b`` (degrees stay below 64)."""
+    ``(a, b)`` with ``a <= b``."""
     degrees = [row.bit_count() for row in rows]
-    codes = []
+    pairs = []
     for u, row in enumerate(rows):
         du = degrees[u]
         row >>= u + 1  # the neighbors above u, shifted down by u + 1
         while row:
             low = row & -row
             dv = degrees[low.bit_length() + u]
-            codes.append(du << 6 | dv if du <= dv else dv << 6 | du)
+            pairs.append((du, dv) if du <= dv else (dv, du))
             row ^= low
-    codes.sort()
-    return tuple(codes)
+    pairs.sort()
+    return tuple(pairs)
 
 
-def _signature_values(signature: tuple[int, ...]) -> tuple[RadicalSum, RadicalSum]:
+def _signature_values(signature: tuple[tuple[int, int], ...]) -> tuple[RadicalSum, RadicalSum]:
     """The exact index and coindex shared by every graph without isolated
     vertices whose edge degree pairs are ``signature`` (see :func:`_signature`).
 
     A vertex of degree ``d`` ends ``d`` edges, so the pairs also give the
     degree histogram, and with it the all-pairs total.
     """
-    codes = Counter(signature)
+    pairs = Counter(signature)
     ends: dict[int, int] = {}
-    for code, count in codes.items():
-        a, b = code >> 6, code & 63
+    for (a, b), count in pairs.items():
         ends[a] = ends.get(a, 0) + count
         ends[b] = ends.get(b, 0) + count
-    so = _weighted_total(codes)
+    so = _weighted_total(pairs)
     hist = tuple([(d, count // d) for d, count in sorted(ends.items())])
     return so, histogram_total(hist) - so
 
@@ -122,9 +121,9 @@ def degree_histogram(g: Graph) -> Histogram:
 @lru_cache(maxsize=None)
 def histogram_total(hist: Histogram) -> RadicalSum:
     """Weight summed over all vertex pairs of any graph with degree histogram ``hist``."""
-    codes = {}
+    pairs = {}
     for i, (a, ha) in enumerate(hist):
-        codes[a << 6 | a] = ha * (ha - 1) // 2
+        pairs[a, a] = ha * (ha - 1) // 2
         for b, hb in hist[i + 1:]:
-            codes[a << 6 | b] = ha * hb
-    return _weighted_total(codes)
+            pairs[a, b] = ha * hb
+    return _weighted_total(pairs)

@@ -296,6 +296,7 @@ def test_usage_and_capacity_exit_codes(capsys):
         ["check-lemmas", "--limit", "0"],
         ["index", "--g6", "?"],  # order 0
         ["index", "--recipe", "0,,1"],  # an empty step
+        ["index", "--g6", "B~"],  # nonzero padding bits
         ["index", "--g6", "~?A_"],  # an 18-bit order field past capacity
     ):
         assert run(argv) == 2, argv
@@ -377,14 +378,15 @@ def test_module_entry_point():
     src = str(Path(somborlab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "somborlab", "export", "--family", "K", "--n", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == EXPORT_K2
+    for argv, code, stdout in (
+        (["export", "--family", "K", "--n", "2"], 0, EXPORT_K2),
+        (["enumerate", "--n", "5"], 0, ENUMERATE_5),  # two graph6 lines
+        (["index", "--g6", "B~"], 2, ""),  # nonzero padding bits
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "somborlab", *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stdout) == (code, stdout), argv
 
 
 # Output branches that no real order reaches (through order 12 both witnesses

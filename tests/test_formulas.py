@@ -24,7 +24,7 @@ def test_second_family_closed_forms_small_orders():
 
 
 def test_closed_forms_match_graph_computation():
-    # up to the capacity, where a hub of degree 63 fills the 6 bits of a degree-pair code
+    # up to the capacity, where the hub has degree 63
     for n in range(3, 65):
         assert sombor_index(x_graph(n)).exact == formulas.so_x_closed(n)
         assert sombor_coindex(x_graph(n)).exact == formulas.so_bar_x_closed(n)

@@ -146,3 +146,24 @@ def test_verify_to_order_13_digests(tmp_path, capsys):
     got = {"stdout": capsys.readouterr().out.encode("utf-8")}
     got.update((flag, path.read_bytes()) for flag, path in paths.items())
     assert {flag: hashlib.sha256(data).hexdigest() for flag, data in got.items()} == VERIFY_13
+
+
+# Order 14 of `conjecture`, past the order-13 pins above, from the bound-pruned
+# search as it stands; a change to that search must keep these bytes.
+CONJECTURE_14 = {
+    "stdout": "0c27753be9ec7e36d0888687595b4be3608434a66ee271450a3ffb736f207776",
+    "--json": "2780a270dfaa4fb77172e4e74557f649a939344470050bf929fec08775805eb9",
+    "--csv": "9c03f9dfe420d1770a0e74d55e157562418af13cfe7f1ad722061f76c492744a",
+}
+
+
+@pytest.mark.slow
+def test_conjecture_at_order_14_digests(tmp_path, capsys):
+    argv = ["conjecture", "--n", "14", "--cap", "14", "--workers", "2"]
+    paths = {flag: tmp_path / flag.lstrip("-") for flag in CONJECTURE_14 if flag != "stdout"}
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    assert run(argv) == 0
+    got = {"stdout": capsys.readouterr().out.encode("utf-8")}
+    got.update((flag, path.read_bytes()) for flag, path in paths.items())
+    assert {flag: hashlib.sha256(data).hexdigest() for flag, data in got.items()} == CONJECTURE_14

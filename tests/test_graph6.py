@@ -109,6 +109,10 @@ def test_parse_accepts_header_and_rejects_garbage():
         from_graph6("~~??????")  # 36-bit order field: order 258048 at the least
     with pytest.raises(CapacityError, match="^graph6 order 160 is past capacity 64$"):
         from_graph6("~?A_")  # 18-bit order field, refused before its body is measured
+    with pytest.raises(ValueError, match="^graph6 padding bits of 'A@' are not zero$"):
+        from_graph6("A@")  # the edgeless pair is A?
+    with pytest.raises(ValueError, match="^graph6 padding bits of 'B~' are not zero$"):
+        from_graph6("B~")  # the triangle is Bw
 
 
 def test_parse_networkx_output_for_all_order_7_two_trees():

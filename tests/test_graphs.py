@@ -53,6 +53,7 @@ def _is_connected(g: Graph) -> bool:
 def test_new_graph_is_edgeless():
     g = Graph(2)
     assert g.order == 2 and g.edge_count() == 0
+    assert (Graph(3) == 3) is False  # not a graph: Python falls back to identity
 
 
 def test_complete_graph_degrees():
@@ -88,6 +89,7 @@ def test_add_edge_idempotent():
     g.add_edge(1, 2)
     g.add_edge(0, 2)
     assert g.degree_sequence() == (2, 2, 2)
+    assert repr(g) == "Graph(order=3, edges=[(0, 1), (0, 2), (1, 2)])"
 
 
 def test_degree_sum_is_twice_edge_count():

@@ -7,7 +7,10 @@ import pytest
 from somborlab.families import TwoTreeRecipe, complete, from_recipe, random_recipe, x_graph
 from somborlab.graph6 import from_graph6
 from somborlab.graphs import Graph
-from somborlab.indices import edge_weight, sombor_coindex, sombor_index, total_pair_sum
+from somborlab.indices import (
+    _signature, _signature_values, edge_weight, histogram_total, sombor_coindex, sombor_index,
+    total_pair_sum,
+)
 from somborlab.radicals import RadicalSum, sqrt_int
 
 
@@ -25,6 +28,17 @@ def test_edge_weight_normalizes():
     assert sombor_coindex(one_edge).exact == 2
     edgeless = from_graph6("C?")
     assert sombor_index(edgeless).exact.is_zero() and sombor_coindex(edgeless).exact.is_zero()
+
+
+def test_star_with_a_hub_of_degree_64():
+    # K_{1,64}: one vertex past the graph capacity, so built as rows; the
+    # evaluator itself puts no bound on the degrees
+    rows = [((1 << 64) - 1) << 1] + [1] * 64
+    signature = _signature(rows)
+    assert signature == ((1, 64),) * 64
+    total = 2016 * sqrt_int(2) + 64 * sqrt_int(4097)  # C(64, 2) leaf pairs, 64 edges
+    assert histogram_total(((1, 64), (64, 1))) == total
+    assert _signature_values(signature) == (64 * sqrt_int(4097), 2016 * sqrt_int(2))
 
 
 def test_triangle_index():

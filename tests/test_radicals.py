@@ -45,6 +45,8 @@ def test_addition_merges_terms():
     a = 3 * sqrt_int(7) + RadicalSum.integer(4)
     assert a + RadicalSum.zero() == a
     assert a + 0 == a
+    with pytest.raises(TypeError):
+        RadicalSum.integer(1) + 1.5  # exact sums add only ints and sums
 
 
 def test_scaling():
@@ -53,6 +55,8 @@ def test_scaling():
     assert (3 * (2 * sqrt_int(2) + sqrt_int(5))).terms == {2: 6, 5: 3}
     assert ((-1) * sqrt_int(2)).terms == {2: -1}
     assert (-2) * sqrt_int(2) == -(2 * sqrt_int(2))
+    with pytest.raises(TypeError):
+        RadicalSum.integer(1) * 1.5  # only integer multiples stay exact
 
 
 def test_subtraction_cancels_to_normal_form():
@@ -201,6 +205,7 @@ def test_hashable_by_value():
         value = RadicalSum.integer(c)
         assert value == c and hash(value) == hash(c)
     assert len({RadicalSum.zero(), 0, RadicalSum.integer(3), 3}) == 2
+    assert (RadicalSum.integer(1) == 1.5) is False  # a float is never equal to an exact sum
 
 
 def test_hash_is_cached_and_agrees_across_constructions():
