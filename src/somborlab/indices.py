@@ -10,8 +10,9 @@ weighs ``d``.  The index counts the pairs of the edges (:func:`_signature`);
 the all-pairs total counts the pairs of every vertex pair, which the degree
 histogram gives, so it is computed once per histogram; and since edges and
 non-edges partition the vertex pairs, the coindex is the total minus the
-index.  No pair walk happens anywhere.  All sums are exact
-:class:`~somborlab.radicals.RadicalSum` values.
+index.  No pair walk happens anywhere.  Signatures share their pair
+tuples, one per distinct degree pair, so a ranked level holds no per-edge
+tuple.  All sums are exact :class:`~somborlab.radicals.RadicalSum` values.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def _weighted_total(pairs: dict[tuple[int, int], int]) -> RadicalSum:
     terms: dict[int, int] = {}
     for (a, b), count in pairs.items():
         if count and b:  # a degree held by one vertex pairs with itself 0 times
-            for s, c in _weight(a, b)._terms.items():
+            it = iter(_weight(a, b)._terms)
+            for s, c in zip(it, it):
                 terms[s] = terms.get(s, 0) + count * c
     return RadicalSum._unchecked(terms)
 
@@ -66,9 +68,16 @@ def sombor_index(g: Graph) -> IndexValue:
     return IndexValue(_weighted_total(Counter(_signature(g._rows))))
 
 
+# every degree pair met so far, mapped to itself (at most 2,016 pairs of
+# degrees below 64)
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 def _signature(rows: list[int]) -> tuple[tuple[int, int], ...]:
     """The sorted degree pairs of the edges of adjacency ``rows``, each pair
-    ``(a, b)`` with ``a <= b``."""
+    ``(a, b)`` with ``a <= b``.  Each pair is the one tuple :data:`_PAIRS`
+    holds for it, so all signatures share one tuple per distinct pair rather
+    than holding one per edge."""
     degrees = [row.bit_count() for row in rows]
     pairs = []
     for u, row in enumerate(rows):
@@ -77,7 +86,9 @@ def _signature(rows: list[int]) -> tuple[tuple[int, int], ...]:
         while row:
             low = row & -row
             dv = degrees[low.bit_length() + u]
-            pairs.append((du, dv) if du <= dv else (dv, du))
+            pair = (du, dv) if du <= dv else (dv, du)
+            # interned as made, so a repeated pair's new tuple is freed at once
+            pairs.append(_PAIRS.setdefault(pair, pair))
             row ^= low
     pairs.sort()
     return tuple(pairs)

@@ -4,9 +4,11 @@ Every value handled here has the form ``sum_s c_s * sqrt(s)`` where each
 radicand ``s`` is a squarefree positive integer and each coefficient ``c_s``
 is a nonzero integer of either sign; radicand 1 carries the plain integer
 part.  Square roots of distinct squarefree integers are linearly independent
-over the rationals, so the term map (with zero coefficients dropped) is a
+over the rationals, so the terms with zero coefficients dropped, kept as
+one flat tuple ``(s1, c1, s2, c2, ...)`` with the radicands ascending, are a
 unique normal form: two sums are equal as real numbers exactly when their
-term maps coincide.  Strict order rests on one fixed-point integer key per
+tuples coincide, so equality and hashing read the tuple itself and nothing
+is cached beside it.  Strict order rests on one fixed-point integer key per
 value and precision (:func:`_key`), within a certified error bound of the
 scaled value.  :func:`sort_values` orders any number of distinct values
 without pairwise comparisons: keys far enough apart order their values, and
@@ -19,6 +21,7 @@ until it does.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable
 
 _START_BITS = 64
@@ -37,20 +40,32 @@ def _squarefree_split(k: int) -> tuple[int, int]:
     return m, s
 
 
+def _flat(terms: dict[int, int]) -> tuple[int, ...]:
+    # the normal form of a term map without zero coefficients
+    return tuple(chain.from_iterable(sorted(terms.items())))
+
+
 class RadicalSum:
     """Immutable sum of integer multiples of square roots, in normal form.
 
-    Supports ``+`` and ``-`` with another :class:`RadicalSum` (or an int),
-    negation, ``*`` by an int, exact rich comparisons, ``float()`` and a
-    stable text rendering with radicands ascending.
+    The normal form is one flat tuple ``(s1, c1, s2, c2, ...)`` with the
+    radicands ascending and no zero coefficient.  Equality and hashing read
+    it directly, so no hash is cached.  Supports ``+`` and ``-`` with
+    another :class:`RadicalSum` (or an int), negation, ``*`` by an int,
+    exact rich comparisons, ``float()`` and a stable text rendering with
+    radicands ascending.
     """
 
-    __slots__ = ("_terms", "_hash")  # _hash is None until first hashed
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, int] | None = None):
         clean: dict[int, int] = {}
         if terms:
             for s, c in terms.items():
+                if type(s) is not int or type(c) is not int:  # a bool is refused too
+                    raise TypeError(
+                        f"radicand and coefficient must be ints, got term {s!r}: {c!r}"
+                    )
                 if s < 1:
                     raise ValueError(f"radicand must be positive, got {s}")
                 if c == 0:
@@ -58,15 +73,13 @@ class RadicalSum:
                 if _squarefree_split(s)[0] != 1:
                     raise ValueError(f"radicand {s} is not squarefree")
                 clean[s] = c
-        self._terms = clean
-        self._hash = None
+        self._terms = _flat(clean)
 
     @classmethod
     def _unchecked(cls, terms: dict[int, int]) -> "RadicalSum":
-        # internal fast path: terms already in normal form
+        # internal fast path: squarefree radicands, no zero coefficient, any order
         obj = object.__new__(cls)
-        obj._terms = terms
-        obj._hash = None
+        obj._terms = _flat(terms)
         return obj
 
     @classmethod
@@ -79,42 +92,50 @@ class RadicalSum:
 
     @property
     def terms(self) -> dict[int, int]:
-        """Term map radicand -> coefficient (a copy; radicands squarefree)."""
-        return dict(self._terms)
+        """Term map radicand -> coefficient (a copy; radicands squarefree and
+        ascending)."""
+        it = iter(self._terms)
+        return dict(zip(it, it))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other: "RadicalSum | int") -> "RadicalSum":
+    def _merge(self, other: "RadicalSum | int", sign: int) -> "RadicalSum":
+        # self + sign * other, in one pass over other's terms
         if isinstance(other, int):
             other = RadicalSum.integer(other)
         if not isinstance(other, RadicalSum):
             return NotImplemented
-        merged = dict(self._terms)
-        for s, c in other._terms.items():
-            c += merged.get(s, 0)
+        merged = self.terms
+        it = iter(other._terms)
+        for s, c in zip(it, it):
+            c = merged.get(s, 0) + sign * c
             if c:
                 merged[s] = c
             else:
                 del merged[s]  # a cancelled term leaves the normal form
         return RadicalSum._unchecked(merged)
 
+    def __add__(self, other: "RadicalSum | int") -> "RadicalSum":
+        return self._merge(other, 1)
+
     __radd__ = __add__
 
-    def __neg__(self) -> "RadicalSum":
-        return RadicalSum._unchecked({s: -c for s, c in self._terms.items()})
-
     def __sub__(self, other: "RadicalSum | int") -> "RadicalSum":
-        return self + -other
+        return self._merge(other, -1)
+
+    def __neg__(self) -> "RadicalSum":
+        return self * -1
 
     def __mul__(self, m: int) -> "RadicalSum":
         if not isinstance(m, int):
             return NotImplemented
         if m == 0:
             return RadicalSum.zero()
-        return RadicalSum._unchecked({s: c * m for s, c in self._terms.items()})
+        it = iter(self._terms)
+        return RadicalSum._unchecked({s: c * m for s, c in zip(it, it)})
 
     __rmul__ = __mul__
 
@@ -125,7 +146,7 @@ class RadicalSum:
 
         Equality falls out of the unique normal form.  For two distinct
         values the difference of their fixed-point keys (:func:`_key`) lies
-        within ``E``, the sum of ``|c|`` over both term maps, of
+        within ``E``, the sum of ``|c|`` over both sums' terms, of
         ``(self - other) * 2**bits``, so once it exceeds ``E`` it has the
         sign of ``self - other``.  Until then ``bits`` doubles; past
         ``_MAX_BITS`` :class:`ArithmeticError` is raised.
@@ -134,7 +155,7 @@ class RadicalSum:
             raise TypeError(f"cannot compare RadicalSum with {type(other).__name__}")
         if self._terms == other._terms:
             return 0
-        error = sum(map(abs, self._terms.values())) + sum(map(abs, other._terms.values()))
+        error = sum(map(abs, self._terms[1::2])) + sum(map(abs, other._terms[1::2]))
         bits = _START_BITS
         while bits <= _MAX_BITS:
             est = _key(self, bits) - _key(other, bits)
@@ -147,19 +168,16 @@ class RadicalSum:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            return self._terms == ({1: other} if other else {})
+            return self._terms == ((1, other) if other else ())
         if not isinstance(other, RadicalSum):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:  # computed on first use, then kept
-            # a sum equal to an int must hash like it (see __eq__)
-            if self._terms.keys() <= {1}:
-                self._hash = hash(self._terms.get(1, 0))
-            else:
-                self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        t = self._terms
+        if not t or len(t) == 2 and t[0] == 1:  # equal to an int (see __eq__), so hashed like it
+            return hash(t[1] if t else 0)
+        return hash(t)
 
     def __lt__(self, other: "RadicalSum") -> bool:
         return self.compare(other) < 0
@@ -181,7 +199,8 @@ class RadicalSum:
         # compensated); error is bounded by (number of terms) * 1 ulp of the
         # partial sums
         total = 0.0
-        for s, c in sorted(self._terms.items()):
+        it = iter(self._terms)
+        for s, c in zip(it, it):
             total += c * math.sqrt(s)
         return total
 
@@ -189,7 +208,8 @@ class RadicalSum:
         if not self._terms:
             return "0"
         parts = []
-        for s, c in sorted(self._terms.items()):
+        it = iter(self._terms)
+        for s, c in zip(it, it):
             m = abs(c)
             term = str(m) if s == 1 else f"sqrt({s})" if m == 1 else f"{m}*sqrt({s})"
             parts.append(("- " if c < 0 else "+ ") + term)
@@ -198,7 +218,7 @@ class RadicalSum:
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
-        return f"RadicalSum({self._terms!r})"
+        return f"RadicalSum({self.terms!r})"
 
 
 def sort_values(values: Iterable[RadicalSum], reverse: bool = False) -> list[RadicalSum]:
@@ -228,7 +248,8 @@ def _key(value: RadicalSum, bits: int) -> int:
     ``value * 2**bits``."""
     roots = _ROOTS.setdefault(bits, {})
     est = 0
-    for s, c in value._terms.items():
+    it = iter(value._terms)  # zip(it, it) walks the (s, c) pairs without slicing
+    for s, c in zip(it, it):
         root = roots.get(s)
         if root is None:
             root = roots[s] = math.isqrt(s << 2 * bits)
@@ -246,7 +267,7 @@ def _place(run: list[RadicalSum], bits: int, reverse: bool, done: list[RadicalSu
             f"interval refinement failed to separate distinct values ({run[0]!r} vs {run[1]!r})"
         )
     keys = [_key(v, bits) for v in run]
-    gap = 2 * max(sum(map(abs, v._terms.values())) for v in run)
+    gap = 2 * max(sum(map(abs, v._terms[1::2])) for v in run)
     order = sorted(range(len(run)), key=keys.__getitem__, reverse=reverse)
     start = 0
     for i in range(1, len(order) + 1):

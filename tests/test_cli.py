@@ -373,11 +373,16 @@ def test_internal_error_exits_two(capsys, monkeypatch):
     assert err.endswith("error: internal error: RuntimeError: worker died\n")
 
 
-def test_module_entry_point():
-    # the subprocess must import the same package this test imported
+def _module_env():
+    # a subprocess must import the same package this test imported
     src = str(Path(somborlab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
+    env = _module_env()
     for argv, code, stdout in (
         (["export", "--family", "K", "--n", "2"], 0, EXPORT_K2),
         (["enumerate", "--n", "5"], 0, ENUMERATE_5),  # two graph6 lines
@@ -387,6 +392,18 @@ def test_module_entry_point():
             [sys.executable, "-m", "somborlab", *argv], capture_output=True, text=True, env=env
         )
         assert (proc.returncode, proc.stdout) == (code, stdout), argv
+
+
+@pytest.mark.slow
+def test_verify_theorems_to_order_13_peaks_under_65_mb(tmp_path):
+    argv = [sys.executable, "-m", "somborlab", "verify-theorems", "--n", "5..13", "--cap", "13",
+            "--workers", "1", "--json", str(tmp_path / "v.json")]
+    with subprocess.Popen(argv, stdout=subprocess.DEVNULL, env=_module_env()) as proc:
+        # wait4 gives this child's own peak; RUSAGE_CHILDREN would give the
+        # largest child ever waited for, pool workers of earlier tests included
+        _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert usage.ru_maxrss < 65 * 1024, usage.ru_maxrss  # in KiB on Linux
 
 
 # Output branches that no real order reaches (through order 12 both witnesses

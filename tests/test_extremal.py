@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -337,6 +338,19 @@ def test_extremes_equal_the_ends_of_the_full_ranking():
         max_co = radicals.sort_values(co_groups)[-1]
         assert extremal._extremes(level) == (
             (min_so, so_groups[min_so][0]), (max_co, co_groups[max_co][0]))
+
+
+def test_value_groups_of_order_11_trace_under_2_mb():
+    level = enumerate_two_trees(11)
+    tracemalloc.start()
+    try:
+        so_groups, co_groups = extremal._value_groups(level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for groups in (so_groups, co_groups):
+        assert sum(map(len, groups.values())) == level.count == 2171
+    assert peak < 2_000_000, peak
 
 
 def test_extremes_break_a_tie_by_the_smaller_key():

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from somborlab.families import TwoTreeRecipe, complete, from_recipe, random_recipe, x_graph
+from somborlab.families import (
+    TwoTreeRecipe, complete, from_recipe, l_graph, random_recipe, x_graph,
+)
 from somborlab.graph6 import from_graph6
 from somborlab.graphs import Graph
 from somborlab.indices import (
@@ -39,6 +41,15 @@ def test_star_with_a_hub_of_degree_64():
     total = 2016 * sqrt_int(2) + 64 * sqrt_int(4097)  # C(64, 2) leaf pairs, 64 edges
     assert histogram_total(((1, 64), (64, 1))) == total
     assert _signature_values(signature) == (64 * sqrt_int(4097), 2016 * sqrt_int(2))
+
+
+def test_signatures_share_one_tuple_per_degree_pair():
+    book = _signature(x_graph(6)._rows)
+    second = _signature(l_graph(6)._rows)
+    assert set(book) & set(second) == {(2, 5)}
+    for signature in (book, second):  # one object per distinct pair
+        assert len({id(pair) for pair in signature}) == len(set(signature))
+    assert book[0] is second[3]  # both (2, 5)
 
 
 def test_triangle_index():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -77,6 +78,13 @@ def test_constructor_rejects_bad_terms():
         RadicalSum({0: 1})
     assert RadicalSum({2: 0}).is_zero()
     assert RadicalSum({2: -1}).terms == {2: -1}
+
+
+@pytest.mark.parametrize("terms", [{2: 0.5}, {2.0: 1}, {"2": 1}, {2: True}])
+def test_constructor_rejects_terms_that_are_not_ints(terms):
+    ((s, c),) = terms.items()
+    with pytest.raises(TypeError, match=re.escape(f"got term {s!r}: {c!r}")):
+        RadicalSum(terms)
 
 
 def test_compare_equal_and_strict():
@@ -208,23 +216,23 @@ def test_hashable_by_value():
     assert (RadicalSum.integer(1) == 1.5) is False  # a float is never equal to an exact sum
 
 
-def test_hash_is_cached_and_agrees_across_constructions():
+def test_hash_agrees_across_constructions():
     built = [
-        RadicalSum({1: 4, 2: 3, 5: -1}),  # checked constructor
+        RadicalSum({5: -1, 2: 3, 1: 4}),  # checked constructor, radicands descending
         sqrt_int(18) + 4 - sqrt_int(5),  # arithmetic on _unchecked objects
         -(-(RadicalSum.integer(4) + 3 * sqrt_int(2)) + sqrt_int(5)),
-        (RadicalSum({2: 6, 5: -2}) + 8) * 1 - (RadicalSum({2: 3, 5: -1}) + 4),
+        (RadicalSum({2: 6, 5: -2, 7: 0}) + 8) * 1 - (RadicalSum({2: 3, 5: -1}) + 4),
     ]
     for value in built:
-        assert value._hash is None  # nothing is computed before first use
+        # one normal form: radicands ascending, no zero coefficient
+        assert value._terms == built[0]._terms == (1, 4, 2, 3, 5, -1)
         assert hash(value) == hash(built[0])
-        assert value._hash == hash(value)
     assert len(set(built)) == 1
     # integer-valued sums hash like their ints, also when a radical cancelled out
     for c in (-1, 0, 7, 2**70):
         for value in (RadicalSum.integer(c), RadicalSum({1: c}),
                       sqrt_int(2) * 3 + c - RadicalSum({2: 3})):
-            assert value == c and hash(value) == hash(c) == value._hash
+            assert value == c and hash(value) == hash(c)
 
 
 def test_sort_values_escalates_on_pell_pairs(monkeypatch):
