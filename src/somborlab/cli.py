@@ -31,7 +31,7 @@ from .families import (
     x_graph,
 )
 from .graph6 import from_graph6, to_dot, to_graph6
-from .graphs import MAX_ORDER, Graph
+from .graphs import CapacityError, Graph, _check_order
 from .indices import sombor_coindex, sombor_index
 
 CAP_ENV = "SOMBORLAB_CAP"
@@ -42,7 +42,7 @@ ANCHOR_DIAG_STEP = (1.40312, 1e-5)
 
 def _parse_orders(text: str) -> tuple[int, ...]:
     """A single order ``N`` or an inclusive range ``A..B``, checked against
-    ``0..MAX_ORDER`` before it is built."""
+    the graph capacity, from order 0, before it is built."""
     lo_text, dots, hi_text = text.partition("..")
     try:
         lo = int(lo_text)
@@ -52,8 +52,11 @@ def _parse_orders(text: str) -> tuple[int, ...]:
             f"orders must be an integer N or a range A..B, got {text!r}") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty order range {text!r}")
-    if lo < 0 or hi > MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"orders must be in 0..{MAX_ORDER}, got {text!r}")
+    try:
+        for n in (lo, hi):
+            _check_order(n, 0, "orders")
+    except CapacityError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return tuple(range(lo, hi + 1))
 
 

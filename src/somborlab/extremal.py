@@ -28,7 +28,7 @@ never a crash, and a run always completes every requested order first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import formulas
 from .enumeration import DEFAULT_CAP, EnumLevel, enumerate_levels, enumerate_two_trees
@@ -237,6 +237,22 @@ def attach_claims(
         report.claim_checks.append(_claim(report, claim, position, family, key, closed(n)))
 
 
+def _levels(orders: Iterable[int], low: int, cap: int, workers: int) -> Iterator[EnumLevel]:
+    """The enumerated levels of the requested orders, ascending, each once.
+
+    An order below ``low`` is refused before anything is enumerated, an empty
+    list enumerates nothing, and the enumerator refuses an order past ``cap``.
+    """
+    wanted = set(orders)
+    if not wanted:
+        return
+    if min(wanted) < low:
+        raise CapacityError(f"orders start at {low}, got {min(wanted)}")
+    for level in enumerate_levels(max(wanted), cap=cap, workers=workers):
+        if level.order in wanted:
+            yield level
+
+
 def verify_theorems(
     orders: Iterable[int],
     cap: int = DEFAULT_CAP,
@@ -245,15 +261,8 @@ def verify_theorems(
     """Exhaustively check, per order: the unique index maximizer and coindex
     minimizer are the book two-tree at its closed-form value, and (order >= 5)
     the unique runners-up are the second-extremal family."""
-    wanted = sorted(set(orders))
-    if not wanted:
-        return []
-    if wanted[0] < 2:
-        raise CapacityError(f"order must be in 2..{cap} (configured cap), got {wanted[0]}")
     reports: list[ExtremalReport] = []
-    for level in enumerate_levels(wanted[-1], cap=cap, workers=workers):
-        if level.order not in wanted:
-            continue
+    for level in _levels(orders, 2, cap, workers):
         so_groups, co_groups = _value_groups(level)
         so_report = _report(level.order, "so", "max", so_groups)
         co_report = _report(level.order, "so-bar", "min", co_groups)
@@ -326,20 +335,12 @@ def conjecture_report(
     :func:`_extremes`); the witnesses are the smallest keys attaining the
     exact extremes, the same as in a full ranking.
     """
-    wanted = sorted(set(orders))
-    if not wanted:
-        return []
-    if wanted[0] < 5:
-        raise ValueError(f"conjecture reports start at order 5, got {wanted[0]}")
-
     def check(observed: RadicalSum, conjectured: float, holds: bool) -> BoundCheck:
         return BoundCheck(conjectured, float(observed) - conjectured, holds)
 
     out: list[ConjectureReport] = []
-    for level in enumerate_levels(wanted[-1], cap=cap, workers=workers):
+    for level in _levels(orders, 5, cap, workers):
         n = level.order
-        if n not in wanted:
-            continue
         linear_key = canonical_key(linear_two_tree(n))
 
         def witness(value: RadicalSum, key: CanonicalKey) -> Witness:

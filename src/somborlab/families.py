@@ -11,7 +11,9 @@ families replay fixed recipes.  The book ``X_n`` picks edge 0 at every step,
 ``L_n`` is the book of order ``n - 1`` plus a last step on edge 1, ``(0, 2)``,
 and the linear two-tree picks edge ``2t - 2``, the newest edge
 ``(t - 1, t)``, at step ``t``.  Every builder writes the adjacency rows
-directly; none adds edges one at a time.
+directly; none adds edges one at a time.  Each refuses an order past the
+graph capacity through :func:`~somborlab.graphs._check_order` before it
+lists a row or a recipe step, or draws one.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import MAX_ORDER, CapacityError, Graph
-
-
-def _capped(order: int) -> int:
-    """``order``, refused past capacity before any recipe step is listed or drawn."""
-    if order > MAX_ORDER:
-        raise CapacityError(f"recipe order {order} exceeds capacity {MAX_ORDER}")
-    return order
+from .graphs import Graph, _check_order
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,7 @@ class TwoTreeRecipe:
                 raise ValueError(
                     f"step {t} picks edge {choice}, but only {2 * t - 1} edges exist"
                 )
-        _capped(self.order)
+        _check_order(self.order, 2, "recipe order")
 
     @property
     def order(self) -> int:
@@ -92,19 +87,19 @@ def random_recipe(order: int, rng: random.Random) -> TwoTreeRecipe:
     """Uniformly random edge choice at every step (not uniform over graphs)."""
     if order < 2:
         raise ValueError(f"a two-tree has order at least 2, got {order}")
-    steps = range(1, _capped(order) - 1)
-    return TwoTreeRecipe(tuple(rng.randrange(2 * t - 1) for t in steps))
+    _check_order(order, 2, "recipe order")
+    return TwoTreeRecipe(tuple(rng.randrange(2 * t - 1) for t in range(1, order - 1)))
 
 
 def complete(n: int) -> Graph:
-    Graph(n)  # refuses a bad order before the rows are listed
+    _check_order(n)
     return Graph._from_rows([((1 << n) - 1) ^ 1 << v for v in range(n)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError(f"both parts need at least one vertex, got ({a}, {b})")
-    Graph(a + b)  # refuses a bad order before the rows are listed
+    _check_order(a + b)
     return Graph._from_rows([((1 << b) - 1) << a] * a + [(1 << a) - 1] * b)
 
 
@@ -117,7 +112,8 @@ def x_graph(n: int) -> Graph:
     """
     if n < 2:
         raise ValueError(f"x_graph needs order >= 2, got {n}")
-    return from_recipe(TwoTreeRecipe((0,) * (_capped(n) - 2)))
+    _check_order(n, 2, "recipe order")
+    return from_recipe(TwoTreeRecipe((0,) * (n - 2)))
 
 
 def l_graph(n: int) -> Graph:
@@ -130,7 +126,8 @@ def l_graph(n: int) -> Graph:
     """
     if n < 5:
         raise ValueError(f"l_graph needs order >= 5, got {n}")
-    return from_recipe(TwoTreeRecipe((0,) * (_capped(n) - 3) + (1,)))
+    _check_order(n, 2, "recipe order")
+    return from_recipe(TwoTreeRecipe((0,) * (n - 3) + (1,)))
 
 
 def linear_two_tree(n: int) -> Graph:
@@ -142,4 +139,5 @@ def linear_two_tree(n: int) -> Graph:
     """
     if n < 3:
         raise ValueError(f"linear_two_tree needs order >= 3, got {n}")
-    return from_recipe(TwoTreeRecipe(tuple(range(0, 2 * _capped(n) - 5, 2))))
+    _check_order(n, 2, "recipe order")
+    return from_recipe(TwoTreeRecipe(tuple(range(0, 2 * n - 5, 2))))

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import MAX_ORDER
+from .graphs import _check_order
 from .radicals import RadicalSum, sqrt_int
 
 EQUALITY_TOL = 1e-12
@@ -27,29 +27,24 @@ _SQRT5 = math.sqrt(5)
 _SQRT13 = math.sqrt(13)
 
 
-def _check_order(n: int, low: int, what: str) -> None:
-    if not low <= n <= MAX_ORDER:
-        raise ValueError(f"{what} is defined for orders {low}..{MAX_ORDER}, got {n}")
-
-
 # -- closed forms ------------------------------------------------------------
 
 
 def so_x_closed(n: int) -> RadicalSum:
     """Sombor index of the book two-tree: ``sqrt(2)(n-1) + 2(n-2)sqrt((n-1)^2+4)``."""
-    _check_order(n, 2, "so_x_closed")
+    _check_order(n, 2, "so_x_closed order")
     return (n - 1) * sqrt_int(2) + 2 * (n - 2) * sqrt_int((n - 1) ** 2 + 4)
 
 
 def so_bar_x_closed(n: int) -> RadicalSum:
     """Sombor coindex of the book two-tree: ``sqrt(2)(n-2)(n-3)``."""
-    _check_order(n, 2, "so_bar_x_closed")
+    _check_order(n, 2, "so_bar_x_closed order")
     return (n - 2) * (n - 3) * sqrt_int(2) if n >= 3 else RadicalSum.zero()
 
 
 def so_l_closed(n: int) -> RadicalSum:
     """Sombor index of the second-extremal family (order 5 and up)."""
-    _check_order(n, 5, "so_l_closed")
+    _check_order(n, 5, "so_l_closed order")
     return (
         (n - 4) * sqrt_int((n - 2) ** 2 + 4)
         + (n - 3) * sqrt_int((n - 1) ** 2 + 4)
@@ -62,7 +57,7 @@ def so_l_closed(n: int) -> RadicalSum:
 
 def so_bar_l_closed(n: int) -> RadicalSum:
     """Sombor coindex of the second-extremal family (order 5 and up)."""
-    _check_order(n, 5, "so_bar_l_closed")
+    _check_order(n, 5, "so_bar_l_closed order")
     return (
         (n - 3) * (n - 4) * sqrt_int(2)
         + sqrt_int((n - 2) ** 2 + 4)

@@ -14,8 +14,9 @@ DOT output quotes the graph name, escaping backslashes and double quotes.
 
 from __future__ import annotations
 
+from . import graphs
 from .graphs import (
-    MAX_ORDER, CapacityError, Graph, _graph6_order, _graph6_pack, _neighbor_lists,
+    CapacityError, Graph, _check_order, _graph6_order, _graph6_pack, _neighbor_lists,
     _ordered_columns, graph_of_key,
 )
 
@@ -42,11 +43,11 @@ def from_graph6(text: str | bytes) -> Graph:
     if s[0] == "~" and len(s) < 4:  # '~' marker: 18-bit order
         raise ValueError("truncated graph6 order field")
     if s.startswith("~~"):  # '~~' marker: 36-bit order, at least 258048
-        raise CapacityError(f"a '~~' graph6 order field holds an order past capacity {MAX_ORDER}")
+        raise CapacityError(
+            f"a '~~' graph6 order field holds an order past capacity {graphs.MAX_ORDER}")
     raw = s.encode("ascii")
     n, start = _graph6_order(raw)
-    if n > MAX_ORDER:
-        raise CapacityError(f"graph6 order {n} is past capacity {MAX_ORDER}")
+    _check_order(n, 1, "graph6 order")
     groups = (n * (n - 1) // 2 + 5) // 6
     if len(raw) - start != groups:
         raise ValueError(

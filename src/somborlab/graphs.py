@@ -31,6 +31,12 @@ class CapacityError(ValueError):
     """Order outside the supported range or past a configured enumeration cap."""
 
 
+def _check_order(n: int, low: int = 1, what: str = "order") -> None:
+    """Refuse ``n`` outside ``low..MAX_ORDER``, the one check of the graph capacity."""
+    if not low <= n <= MAX_ORDER:
+        raise CapacityError(f"{what} must be in {low}..{MAX_ORDER}, got {n}")
+
+
 class Graph:
     """Simple undirected graph on a fixed vertex set ``0..order-1``.
 
@@ -41,8 +47,7 @@ class Graph:
     __slots__ = ("order", "_rows")
 
     def __init__(self, order: int):
-        if not 1 <= order <= MAX_ORDER:
-            raise CapacityError(f"order must be in 1..{MAX_ORDER}, got {order}")
+        _check_order(order)
         self.order = order
         self._rows = [0] * order
 

@@ -68,8 +68,7 @@ def sombor_index(g: Graph) -> IndexValue:
     return IndexValue(_weighted_total(Counter(_signature(g._rows))))
 
 
-# every degree pair met so far, mapped to itself (at most 2,016 pairs of
-# degrees below 64)
+# every degree pair met so far, mapped to itself: one entry per distinct pair
 _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 

@@ -302,7 +302,7 @@ def test_usage_and_capacity_exit_codes(capsys):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert "error:" in err, argv
-    assert err == "error: graph6 order 160 is past capacity 64\n"  # the last case's message
+    assert err == "error: graph6 order must be in 1..64, got 160\n"  # the last case's message
 
 
 def test_order_ranges_are_bounded_before_they_are_built(capsys):

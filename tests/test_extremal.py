@@ -15,7 +15,7 @@ from somborlab.extremal import (
 )
 from somborlab.families import l_graph, linear_two_tree, x_graph
 from somborlab.graph6 import from_graph6
-from somborlab.graphs import canonical_key
+from somborlab.graphs import CapacityError, canonical_key
 from somborlab.radicals import RadicalSum, sqrt_int
 
 
@@ -232,6 +232,17 @@ def test_no_orders_give_no_reports_and_enumerate_nothing(monkeypatch):
     monkeypatch.setattr(extremal, "enumerate_levels", refused)
     assert verify_theorems([]) == []
     assert conjecture_report([]) == []
+
+
+def test_both_drivers_refuse_a_low_order_before_enumerating(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("enumerated before the orders were checked")
+
+    monkeypatch.setattr(extremal, "enumerate_levels", refused)
+    with pytest.raises(CapacityError, match="^orders start at 2, got 1$"):
+        verify_theorems([1, 5])
+    with pytest.raises(CapacityError, match="^orders start at 5, got 4$"):
+        conjecture_report([4, 6])
 
 
 def test_rank_by_with_forced_rekeying_matches_default(monkeypatch):

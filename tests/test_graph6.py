@@ -101,13 +101,13 @@ def test_parse_accepts_header_and_rejects_garbage():
         from_graph6("A")  # truncated body
     with pytest.raises(ValueError, match=r"^invalid graph6 characters in '\\x19\\x19'$"):
         from_graph6("\x19\x19")  # characters outside the printable range
-    with pytest.raises(ValueError, match="^order must be in 1..64, got 0$"):
+    with pytest.raises(ValueError, match="^graph6 order must be in 1..64, got 0$"):
         from_graph6("?")  # order 0
     with pytest.raises(ValueError, match="^truncated graph6 order field$"):
         from_graph6("~??")  # truncated 18-bit order field
     with pytest.raises(CapacityError, match="^a '~~' graph6 order field holds an order past capacity 64$"):
         from_graph6("~~??????")  # 36-bit order field: order 258048 at the least
-    with pytest.raises(CapacityError, match="^graph6 order 160 is past capacity 64$"):
+    with pytest.raises(CapacityError, match="^graph6 order must be in 1..64, got 160$"):
         from_graph6("~?A_")  # 18-bit order field, refused before its body is measured
     with pytest.raises(ValueError, match="^graph6 padding bits of 'A@' are not zero$"):
         from_graph6("A@")  # the edgeless pair is A?

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import networkx as nx
 import pytest
 
+from somborlab import cli, formulas, graphs
 from somborlab.graphs import (
     CapacityError,
     Graph,
@@ -18,8 +20,11 @@ from somborlab.graphs import (
     _twins,
 )
 from somborlab.enumeration import enumerate_levels
-from somborlab.families import complete, from_recipe, l_graph, linear_two_tree, random_recipe, x_graph
-from somborlab.graph6 import from_graph6
+from somborlab.radicals import sqrt_int
+from somborlab.families import (
+    TwoTreeRecipe, complete, from_recipe, l_graph, linear_two_tree, random_recipe, x_graph,
+)
+from somborlab.graph6 import from_graph6, to_graph6
 
 
 # independent constructions used as oracles, never the package constructors
@@ -344,3 +349,34 @@ def test_relabeled_equals_the_edge_by_edge_image():
         x_graph(4).relabeled([0, 1, 2, 2])
     with pytest.raises(ValueError, match="permutation"):
         x_graph(4).relabeled([0, 1, 2])
+
+
+def test_the_graph_capacity_has_one_owner(monkeypatch):
+    # lowering graphs.MAX_ORDER moves every order check in the package with it
+    order_21 = to_graph6(x_graph(21))  # encoded before the capacity is lowered
+    rng = random.Random(5)
+    monkeypatch.setattr(graphs, "MAX_ORDER", 20)
+    state = rng.getstate()
+    for build, arg, what in (
+        (Graph, 21, "order must be in 1..20"),
+        (TwoTreeRecipe, (0,) * 19, "recipe order must be in 2..20"),
+        (x_graph, 21, "recipe order must be in 2..20"),
+        (l_graph, 21, "recipe order must be in 2..20"),
+        (linear_two_tree, 21, "recipe order must be in 2..20"),
+        (lambda n: random_recipe(n, rng), 21, "recipe order must be in 2..20"),
+        (complete, 21, "order must be in 1..20"),
+        (formulas.so_x_closed, 21, "so_x_closed order must be in 2..20"),
+        (from_graph6, order_21, "graph6 order must be in 1..20"),
+    ):
+        with pytest.raises(CapacityError, match=f"^{what}, got 21$"):
+            build(arg)
+    assert rng.getstate() == state  # no step was drawn
+    with pytest.raises(argparse.ArgumentTypeError, match="^orders must be in 0..20, got 21$"):
+        cli._parse_orders("21")
+    # order 20 still builds
+    assert Graph(20).order == 20
+    assert x_graph(20) == from_graph6(to_graph6(x_graph(20)))
+    assert l_graph(20).order == linear_two_tree(20).order == complete(20).order == 20
+    assert random_recipe(20, rng).order == 20
+    assert formulas.so_x_closed(20) == 19 * sqrt_int(2) + 36 * sqrt_int(365)
+    assert cli._parse_orders("0..20") == tuple(range(21))
