@@ -47,8 +47,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (
-    CanonicalKey, CapacityError, Graph, _neighbor_lists, canonical_key, canonize_rows, graph_of_key,
-    is_two_tree,
+    CanonicalKey, CapacityError, Graph, _check_order, _neighbor_lists, canonical_key, canonize_rows,
+    graph_of_key, is_two_tree,
 )
 
 DEFAULT_CAP = 12
@@ -140,7 +140,8 @@ def _base_level() -> EnumLevel:
 
 def enumerate_levels(max_order: int, cap: int = DEFAULT_CAP, workers: int = 1):
     """Yield :class:`EnumLevel` for orders 2..max_order."""
-    if not 2 <= max_order <= cap:
+    _check_order(max_order, 2, "order")
+    if max_order > cap:
         raise CapacityError(f"order must be in 2..{cap} (configured cap), got {max_order}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

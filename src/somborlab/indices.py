@@ -6,7 +6,9 @@ original graph (the coindex of a two-tree is not an index of its
 complement).  Each sum depends only on how many pairs have each pair of
 degrees, so one evaluator computes them all: a weighted count of degree
 pairs ``(a, b)`` with ``a <= b``, where ``(0, 0)`` weighs 0 and ``(0, d)``
-weighs ``d``.  The index counts the pairs of the edges (:func:`_signature`);
+weighs ``d``; each weight is one term ``m*sqrt(s)`` with ``s`` squarefree,
+so a count of pairs scales ``m``, and a pair counted zero times drops out of
+the sum.  The index counts the pairs of the edges (:func:`_signature`);
 the all-pairs total counts the pairs of every vertex pair, which the degree
 histogram gives, so it is computed once per histogram; and since edges and
 non-edges partition the vertex pairs, the coindex is the total minus the
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import Graph
-from .radicals import RadicalSum, sqrt_int
+from .radicals import RadicalSum, _squarefree_split, sqrt_int
 
 
 @dataclass(frozen=True)
@@ -43,24 +45,28 @@ def edge_weight(du: int, dv: int) -> RadicalSum:
     """Normalized ``sqrt(du^2 + dv^2)`` for a pair of positive degrees."""
     if du < 1 or dv < 1:
         raise ValueError(f"degrees must be positive, got ({du}, {dv})")
-    return _weight(du, dv) if du <= dv else _weight(dv, du)
+    return sqrt_int(du * du + dv * dv)
 
 
 @lru_cache(maxsize=None)
-def _weight(a: int, b: int) -> RadicalSum:
-    return sqrt_int(a * a + b * b)
+def _root(a: int, b: int) -> tuple[int, int]:
+    # the weight sqrt(a^2 + b^2) of a degree pair as (m, s): m * sqrt(s), s squarefree
+    return _squarefree_split(a * a + b * b)
 
 
 def _weighted_total(pairs: dict[tuple[int, int], int]) -> RadicalSum:
     """Each degree pair's weight (see :func:`_signature`) times its count,
-    summed.  Degree 0 is an isolated vertex: ``(0, 0)`` (two of them) weighs
-    0, and ``(0, d)`` (one beside a vertex of degree ``d``) weighs ``d``."""
+    summed.  A weight is the one term ``m*sqrt(s)`` of :func:`_root`, so a
+    pair adds ``count*m`` to radicand ``s``, and a zero count (a degree held
+    by one vertex pairs with itself 0 times) adds a zero term, which the
+    normal form drops.  Degree 0 is an isolated vertex: ``(0, 0)`` (two of
+    them) weighs 0 and is skipped, and ``(0, d)`` (one beside a vertex of
+    degree ``d``) weighs ``d``."""
     terms: dict[int, int] = {}
     for (a, b), count in pairs.items():
-        if count and b:  # a degree held by one vertex pairs with itself 0 times
-            it = iter(_weight(a, b)._terms)
-            for s, c in zip(it, it):
-                terms[s] = terms.get(s, 0) + count * c
+        if b:
+            m, s = _root(a, b)
+            terms[s] = terms.get(s, 0) + count * m
     return RadicalSum._unchecked(terms)
 
 

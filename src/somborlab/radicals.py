@@ -8,14 +8,16 @@ over the rationals, so the terms with zero coefficients dropped, kept as
 one flat tuple ``(s1, c1, s2, c2, ...)`` with the radicands ascending, are a
 unique normal form: two sums are equal as real numbers exactly when their
 tuples coincide, so equality and hashing read the tuple itself and nothing
-is cached beside it.  Strict order rests on one fixed-point integer key per
-value and precision (:func:`_key`), within a certified error bound of the
-scaled value.  :func:`sort_values` orders any number of distinct values
-without pairwise comparisons: keys far enough apart order their values, and
-only runs of keys too close to separate are keyed again at doubled
-precision.  :meth:`RadicalSum.compare` takes the sign of the difference of
-two keys once it exceeds their joint error bound, doubling the precision
-until it does.
+is cached beside it.  :func:`_flat` alone makes that tuple, from any map of
+squarefree radicands to integers, so no arithmetic has to keep a cancelled
+or scaled-away term out of its result.  Strict order rests on one
+fixed-point integer key per value and precision (:func:`_key`), within a
+certified error bound of the scaled value.  :func:`sort_values` orders any
+number of distinct values without pairwise comparisons: keys far enough
+apart order their values, and only runs of keys too close to separate are
+keyed again at doubled precision.  :meth:`RadicalSum.compare` takes the
+sign of the difference of two keys once it exceeds their joint error
+bound, doubling the precision until it does.
 """
 
 from __future__ import annotations
@@ -41,43 +43,40 @@ def _squarefree_split(k: int) -> tuple[int, int]:
 
 
 def _flat(terms: dict[int, int]) -> tuple[int, ...]:
-    # the normal form of a term map without zero coefficients
-    return tuple(chain.from_iterable(sorted(terms.items())))
+    # the normal form of a term map: zero coefficients dropped, radicands ascending
+    return tuple(chain.from_iterable(sorted([item for item in terms.items() if item[1]])))
 
 
 class RadicalSum:
     """Immutable sum of integer multiples of square roots, in normal form.
 
     The normal form is one flat tuple ``(s1, c1, s2, c2, ...)`` with the
-    radicands ascending and no zero coefficient.  Equality and hashing read
-    it directly, so no hash is cached.  Supports ``+`` and ``-`` with
-    another :class:`RadicalSum` (or an int), negation, ``*`` by an int,
-    exact rich comparisons, ``float()`` and a stable text rendering with
-    radicands ascending.
+    radicands ascending and no zero coefficient, made by :func:`_flat` alone
+    on every construction.  Equality and hashing read it directly, so no
+    hash is cached.  Supports ``+`` and ``-`` with another
+    :class:`RadicalSum` (or an int), negation, ``*`` by an int, exact rich
+    comparisons, ``float()`` and a stable text rendering with radicands
+    ascending.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, int] | None = None):
-        clean: dict[int, int] = {}
-        if terms:
-            for s, c in terms.items():
-                if type(s) is not int or type(c) is not int:  # a bool is refused too
-                    raise TypeError(
-                        f"radicand and coefficient must be ints, got term {s!r}: {c!r}"
-                    )
-                if s < 1:
-                    raise ValueError(f"radicand must be positive, got {s}")
-                if c == 0:
-                    continue
-                if _squarefree_split(s)[0] != 1:
-                    raise ValueError(f"radicand {s} is not squarefree")
-                clean[s] = c
-        self._terms = _flat(clean)
+        terms = terms or {}
+        for s, c in terms.items():
+            if type(s) is not int or type(c) is not int:  # a bool is refused too
+                raise TypeError(
+                    f"radicand and coefficient must be ints, got term {s!r}: {c!r}"
+                )
+            if s < 1:
+                raise ValueError(f"radicand must be positive, got {s}")
+            if c and _squarefree_split(s)[0] != 1:  # a zero term drops out unchecked
+                raise ValueError(f"radicand {s} is not squarefree")
+        self._terms = _flat(terms)
 
     @classmethod
     def _unchecked(cls, terms: dict[int, int]) -> "RadicalSum":
-        # internal fast path: squarefree radicands, no zero coefficient, any order
+        # internal fast path: squarefree radicands, any coefficients, any order
         obj = object.__new__(cls)
         obj._terms = _flat(terms)
         return obj
@@ -88,7 +87,7 @@ class RadicalSum:
 
     @classmethod
     def integer(cls, c: int) -> "RadicalSum":
-        return cls._unchecked({1: c} if c else {})
+        return cls._unchecked({1: c})
 
     @property
     def terms(self) -> dict[int, int]:
@@ -111,11 +110,7 @@ class RadicalSum:
         merged = self.terms
         it = iter(other._terms)
         for s, c in zip(it, it):
-            c = merged.get(s, 0) + sign * c
-            if c:
-                merged[s] = c
-            else:
-                del merged[s]  # a cancelled term leaves the normal form
+            merged[s] = merged.get(s, 0) + sign * c
         return RadicalSum._unchecked(merged)
 
     def __add__(self, other: "RadicalSum | int") -> "RadicalSum":
@@ -132,8 +127,6 @@ class RadicalSum:
     def __mul__(self, m: int) -> "RadicalSum":
         if not isinstance(m, int):
             return NotImplemented
-        if m == 0:
-            return RadicalSum.zero()
         it = iter(self._terms)
         return RadicalSum._unchecked({s: c * m for s, c in zip(it, it)})
 

@@ -305,6 +305,16 @@ def test_usage_and_capacity_exit_codes(capsys):
     assert err == "error: graph6 order must be in 1..64, got 160\n"  # the last case's message
 
 
+def test_enumerate_refuses_a_low_order_by_the_graph_floor_not_the_cap(capsys):
+    assert run(["enumerate", "--n", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "error: order must be in 2..64, got 1"
+    assert run(["enumerate", "--n", "13"]) == 2  # past the default cap keeps its text
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: order must be in 2..12 (configured cap), got 13")
+
+
 def test_order_ranges_are_bounded_before_they_are_built(capsys):
     # an order past the graph capacity, below 0, or an empty range is refused while parsing
     for text in ("2..65", "-1..5", "65", "-1", "5..3"):

@@ -307,10 +307,12 @@ def test_one_cpu_runs_in_process_at_any_worker_count(monkeypatch):
 
 
 def test_capacity_errors():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"^order must be in 2..12 \(configured cap\), got 13$"):
         enumerate_two_trees(13)
-    with pytest.raises(CapacityError):
-        enumerate_two_trees(1)
+    with pytest.raises(CapacityError, match=r"^order must be in 2..64, got 1$"):
+        enumerate_two_trees(1)  # the floor is the graph's, not the cap's
+    with pytest.raises(CapacityError, match=r"^order must be in 2..64, got 65$"):
+        next(enumerate_levels(65, cap=100))  # refused before order 2 is yielded
     with pytest.raises(CapacityError):
         oracle_filter_count(8)
     # the cap is a knob

@@ -377,6 +377,19 @@ def test_extremes_break_a_tie_by_the_smaller_key():
     assert max_co == indices.sombor_coindex(from_graph6(keys[1])).exact
 
 
+def test_a_group_merged_from_several_signatures_lists_its_keys_in_level_order():
+    # the two 2-regular graphs of order 6 (2C3, C6) and the two 3-regular ones
+    # (K3,3, the prism): nine non-edges of weight 2*sqrt(2), or six of weight
+    # 3*sqrt(2), so all four share the coindex 18*sqrt(2) from two signatures
+    level = EnumLevel(6, (b"EBj?", b"EFz_", b"EJaG", b"ELv_"))
+    signatures = {indices._signature(from_graph6(key)._rows) for key in level.keys}
+    assert len(signatures) == 2
+    so_groups, co_groups = extremal._value_groups(level)
+    assert co_groups == {18 * sqrt_int(2): list(level.keys)}
+    assert so_groups == {
+        12 * sqrt_int(2): [b"EBj?", b"EJaG"], 27 * sqrt_int(2): [b"EFz_", b"ELv_"]}
+
+
 def test_best_first_visits_a_bucket_whose_bound_equals_twice_the_best():
     # the first bucket visited sets the best value; the next bound is exactly
     # twice it, and that bucket attains its bound with a smaller key, so a

@@ -235,6 +235,23 @@ def test_hash_agrees_across_constructions():
             assert value == c and hash(value) == hash(c)
 
 
+def test_the_normal_form_drops_zero_terms_on_every_construction():
+    # _unchecked takes any map of squarefree radicands to ints; the zero goes
+    value = RadicalSum._unchecked({2: 0, 3: 1})
+    assert value == sqrt_int(3) and hash(value) == hash(sqrt_int(3))
+    assert value._terms == (3, 1)
+    nothing = RadicalSum._unchecked({5: 0})
+    assert nothing == RadicalSum.zero() and nothing == 0
+    assert nothing._terms == ()
+    x = 3 * sqrt_int(2) - sqrt_int(5) + 7
+    for zero in (sqrt_int(2) * 0, 0 * x, RadicalSum.integer(0), x - x, x + -x):
+        assert zero._terms == ()
+    # the checked constructor skips the squarefree check of a zero term only
+    assert RadicalSum({4: 0})._terms == ()
+    with pytest.raises(ValueError, match="radicand 4 is not squarefree"):
+        RadicalSum({4: 1})
+
+
 def test_sort_values_escalates_on_pell_pairs(monkeypatch):
     # q*sqrt(2) and p from (1 + sqrt(2))^k = p + q*sqrt(2) differ by less than 1/p
     values, p, q = [], 1, 1
