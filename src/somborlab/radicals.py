@@ -10,14 +10,12 @@ unique normal form: two sums are equal as real numbers exactly when their
 tuples coincide, so equality and hashing read the tuple itself and nothing
 is cached beside it.  :func:`_flat` alone makes that tuple, from any map of
 squarefree radicands to integers, so no arithmetic has to keep a cancelled
-or scaled-away term out of its result.  Strict order rests on one
-fixed-point integer key per value and precision (:func:`_key`), within a
-certified error bound of the scaled value.  :func:`sort_values` orders any
-number of distinct values without pairwise comparisons: keys far enough
-apart order their values, and only runs of keys too close to separate are
-keyed again at doubled precision.  :meth:`RadicalSum.compare` takes the
-sign of the difference of two keys once it exceeds their joint error
-bound, doubling the precision until it does.
+or scaled-away term out of its result.  Strict order has one rule, in
+:func:`sort_values`: at each precision a value gets one fixed-point integer
+key (:func:`_key`) and with it one certified interval around the scaled
+value; values whose intervals are apart are in order, and only values
+whose intervals overlap are keyed again at doubled precision.
+:meth:`RadicalSum.compare` is a sort of two values.
 """
 
 from __future__ import annotations
@@ -137,27 +135,15 @@ class RadicalSum:
     def compare(self, other: "RadicalSum") -> int:
         """Exact three-way comparison: -1, 0 or 1, the sign of ``self - other``.
 
-        Equality falls out of the unique normal form.  For two distinct
-        values the difference of their fixed-point keys (:func:`_key`) lies
-        within ``E``, the sum of ``|c|`` over both sums' terms, of
-        ``(self - other) * 2**bits``, so once it exceeds ``E`` it has the
-        sign of ``self - other``.  Until then ``bits`` doubles; past
-        ``_MAX_BITS`` :class:`ArithmeticError` is raised.
+        Equality falls out of the unique normal form.  Two distinct values
+        are ordered as a sort of two (:func:`sort_values`), so a single
+        comparison and a sort rest on one rule and give up in one place.
         """
         if not isinstance(other, RadicalSum):
             raise TypeError(f"cannot compare RadicalSum with {type(other).__name__}")
         if self._terms == other._terms:
             return 0
-        error = sum(map(abs, self._terms[1::2])) + sum(map(abs, other._terms[1::2]))
-        bits = _START_BITS
-        while bits <= _MAX_BITS:
-            est = _key(self, bits) - _key(other, bits)
-            if abs(est) > error:
-                return 1 if est > 0 else -1
-            bits *= 2
-        raise ArithmeticError(
-            f"interval refinement failed to separate distinct values ({self!r} vs {other!r})"
-        )
+        return -1 if sort_values((self, other))[0] is self else 1
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -219,12 +205,14 @@ def sort_values(values: Iterable[RadicalSum], reverse: bool = False) -> list[Rad
     descending) order.
 
     At ``bits`` of precision a value keys as ``est = sum c * isqrt(s * 4**bits)``
-    (:func:`_key`), which lies within ``M = sum |c|`` of ``value * 2**bits``.
-    With one ``M`` for the whole run (the largest), keys more than ``2*M``
-    apart order their values, so the key-sorted run splits at every such gap
-    into runs that are ordered relative to each other.  A run of two or more
-    values is keyed again at doubled precision; past ``_MAX_BITS`` the values
-    are taken to be inseparable and :class:`ArithmeticError` is raised.
+    (:func:`_key`), which lies within ``M = sum |c|`` of ``value * 2**bits``:
+    each value has its own interval ``[est - M, est + M]``.  Taken by the low
+    ends, the intervals split into groups at every value whose interval
+    starts above all the intervals before it, so the groups are ordered
+    relative to each other.  A group of two or more values is keyed again at
+    doubled precision; past ``_MAX_BITS`` the values are taken to be
+    inseparable and :class:`ArithmeticError` is raised, the only place that
+    gives up on exact order.
     """
     done: list[RadicalSum] = []
     _place(list(values), _START_BITS, reverse, done)
@@ -251,7 +239,10 @@ def _key(value: RadicalSum, bits: int) -> int:
 
 
 def _place(run: list[RadicalSum], bits: int, reverse: bool, done: list[RadicalSum]) -> None:
-    # append ``run`` to ``done`` in order, certified at ``bits`` or more
+    # append ``run`` to ``done`` in order, certified at ``bits`` or more.  Each
+    # value (negated when ``reverse``) scaled by 2**bits lies in
+    # [low, low + 2*M]; walked by ascending ``low``, a value whose ``low`` is
+    # above every interval before it (``top``) is above all of their values
     if len(run) < 2:
         done.extend(run)
         return
@@ -259,14 +250,17 @@ def _place(run: list[RadicalSum], bits: int, reverse: bool, done: list[RadicalSu
         raise ArithmeticError(
             f"interval refinement failed to separate distinct values ({run[0]!r} vs {run[1]!r})"
         )
-    keys = [_key(v, bits) for v in run]
-    gap = 2 * max(sum(map(abs, v._terms[1::2])) for v in run)
-    order = sorted(range(len(run)), key=keys.__getitem__, reverse=reverse)
-    start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or abs(keys[order[i]] - keys[order[i - 1]]) > gap:
-            _place([run[j] for j in order[start:i]], 2 * bits, reverse, done)
-            start = i
+    sign = -1 if reverse else 1
+    errors = [sum(map(abs, v._terms[1::2])) for v in run]
+    lows = [sign * _key(v, bits) - error for v, error in zip(run, errors)]
+    group, top = [], -math.inf
+    for i in sorted(range(len(run)), key=lows.__getitem__):
+        if lows[i] > top:
+            _place(group, 2 * bits, reverse, done)
+            group = []
+        group.append(run[i])
+        top = max(top, lows[i] + 2 * errors[i])
+    _place(group, 2 * bits, reverse, done)
 
 
 def sqrt_int(k: int) -> RadicalSum:

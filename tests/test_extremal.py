@@ -351,6 +351,26 @@ def test_extremes_equal_the_ends_of_the_full_ranking():
             (min_so, so_groups[min_so][0]), (max_co, co_groups[max_co][0]))
 
 
+def test_sorting_the_distinct_values_of_orders_5_to_11_keys_each_value_once(monkeypatch):
+    # a rule that grouped values too coarsely would key some of them again at
+    # doubled precision, which would otherwise show only as time
+    bits = []
+    key = radicals._key
+    def counted(value, b):
+        bits.append(b)
+        return key(value, b)
+    monkeypatch.setattr(radicals, "_key", counted)
+    for level in enumerate_levels(11):
+        if level.order < 5:
+            continue
+        for groups in extremal._value_groups(level):
+            assert len(groups) >= 2
+            for reverse in (False, True):
+                bits.clear()
+                radicals.sort_values(groups, reverse=reverse)
+                assert bits == [radicals._START_BITS] * len(groups)
+
+
 def test_value_groups_of_order_11_trace_under_2_mb():
     level = enumerate_two_trees(11)
     tracemalloc.start()

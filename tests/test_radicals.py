@@ -1,3 +1,5 @@
+import decimal
+import functools
 import math
 import random
 import re
@@ -15,6 +17,22 @@ def _is_squarefree(k: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _decimal(value: RadicalSum) -> decimal.Decimal:
+    # the value to 80 significant digits, by decimal arithmetic alone
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        return sum((c * decimal.Decimal(s).sqrt() for s, c in value.terms.items()), decimal.Decimal(0))
+
+
+def _by_decimal(values: list[RadicalSum], reverse: bool = False) -> list[RadicalSum]:
+    # the values in the order of their decimal expansions, which are checked
+    # to sit far enough apart for 80 digits to order them
+    refs = sorted((_decimal(v), i) for i, v in enumerate(values))
+    assert all(b - a > decimal.Decimal("1e-70") for (a, _), (b, _) in zip(refs, refs[1:]))
+    ordered = [values[i] for _, i in refs]
+    return ordered[::-1] if reverse else ordered
 
 
 def test_sqrt_int_factors_out_largest_square():
@@ -263,6 +281,13 @@ def test_sort_values_escalates_on_pell_pairs(monkeypatch):
     ordered = sort_values(values)
     assert ordered == sorted(values)
     assert sort_values(values, reverse=True) == sorted(values, reverse=True)
+    # every value is x + y*sqrt(2), which the squaring oracle orders exactly
+    def xy(v):
+        return v.terms.get(1, 0), v.terms.get(2, 0)
+    oracle = functools.cmp_to_key(
+        lambda a, b: _sign_of(xy(a)[0] - xy(b)[0], xy(a)[1] - xy(b)[1]))
+    assert ordered == sorted(values, key=oracle)
+    assert sort_values(values, reverse=True) == sorted(values, key=oracle, reverse=True)
     # a single comparison is a sort of two values, so it agrees with the sort
     for a, b in zip(ordered, ordered[1:]):
         assert a.compare(b) == -1 and b.compare(a) == 1
@@ -287,6 +312,9 @@ def test_sort_values_agrees_with_sorted_on_random_sums():
         assert any(float(v) < 0 for v in values) == signed
         assert sort_values(values) == sorted(values)
         assert sort_values(values, reverse=True) == sorted(values, reverse=True)
+        # sorted() compares through sort_values too, so check against decimals
+        assert sort_values(values) == _by_decimal(values)
+        assert sort_values(values, reverse=True) == _by_decimal(values, reverse=True)
 
 
 def test_sort_values_small_inputs_and_unseparated_values(monkeypatch):
@@ -318,6 +346,7 @@ def test_compare_agrees_with_sort_values_on_random_pairs():
         if a == b:
             continue
         assert a.compare(b) == (-1 if sort_values([a, b])[0] is a else 1)
+        assert [a, b] == _by_decimal([a, b], reverse=a.compare(b) > 0)
 
 
 def test_compare_doubles_precision_on_consecutive_convergents(monkeypatch):
@@ -338,6 +367,81 @@ def test_compare_doubles_precision_on_consecutive_convergents(monkeypatch):
     monkeypatch.setattr(radicals, "_MAX_BITS", radicals._START_BITS)
     with pytest.raises(ArithmeticError, match="interval refinement failed"):
         a.compare(b)
+
+
+def _pell(step: int) -> tuple[int, int]:
+    # p, q after ``step`` steps of p, q <- p + 2q, p + q from 1, 1
+    p, q = 1, 1
+    for _ in range(step):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+def _sort_sign(a: RadicalSum, b: RadicalSum) -> int | None:
+    # the order of a, b by a sort of the pair, or None where it gives up
+    try:
+        return -1 if sort_values([a, b])[0] is a else 1
+    except ArithmeticError:
+        return None
+
+
+def test_compare_and_the_sort_of_a_pair_separate_at_the_same_precision(monkeypatch):
+    # keys of q*sqrt(2) and p + shift, times a multiplier, differ by more than
+    # the sum of the two error bounds but less than twice the larger one, so
+    # only a rule taking each value's own bound separates them at 64 bits
+    monkeypatch.setattr(radicals, "_MAX_BITS", radicals._START_BITS)
+    assert _pell(50) == (16616132878186749607, 11749380235262596085)
+    cases = {47: (7, -1, 1), 48: (5, 1, -1), 49: (2, 1, -1), 50: (1, -2, 1), 51: (1, 3, -1)}
+    for step, (multiplier, shift, expected) in cases.items():
+        p, q = _pell(step)
+        a = multiplier * q * sqrt_int(2)
+        b = RadicalSum.integer(multiplier * p + shift)
+        assert expected == _sign_of(-multiplier * p - shift, multiplier * q)
+        assert a.compare(b) == _sort_sign(a, b) == expected
+        assert b.compare(a) == _sort_sign(b, a) == -expected
+    # the comparison gives up exactly where the sort of the pair does: at 64
+    # bits these pairs separate up to step 23 and none does from step 25 on
+    seen = set()
+    for step in range(15, 35):
+        p, q = _pell(step)
+        for a, b in ((q * sqrt_int(2), RadicalSum.integer(p)),
+                     (RadicalSum({1: p, 2: -q}), RadicalSum({1: p + 2 * q, 2: -p - q}))):
+            expected = _sort_sign(a, b)
+            seen.add(expected)
+            if expected is None:
+                with pytest.raises(ArithmeticError, match="interval refinement failed"):
+                    a.compare(b)
+            else:
+                assert a.compare(b) == expected
+    assert seen == {-1, 1, None}
+
+
+def test_sort_values_keeps_a_wide_interval_with_every_interval_it_reaches():
+    # at 64 bits v*2**64 lies within M = sum |c| of v's key; q*sqrt(2) - p
+    # nearly cancels, so M spans units, while the integers 1 and 2 key exactly
+    bits = radicals._START_BITS
+    def interval(v):
+        key, error = radicals._key(v, bits), sum(map(abs, v.terms.values()))
+        return key - error, key + error
+    one, two = RadicalSum.integer(1), RadicalSum.integer(2)
+    # wide = 3 + (q*sqrt(2) - p) is above 2, yet its interval starts below the
+    # one of 1 and reaches into the one of 2: checked only against its
+    # neighbour, the interval of 2 would split off from those of wide and 1
+    p, q = _pell(51)
+    wide = RadicalSum({1: 3 - p, 2: q})
+    assert _sign_of(1 - p, q) == 1
+    assert interval(wide)[0] < interval(one)[0] and interval(one)[1] < interval(two)[0] <= interval(wide)[1]
+    # tiny = p - q*sqrt(2) is below 1, yet it keys above 2: walked by key
+    # rather than by the low end of each interval, 1 would split off first
+    p, q = _pell(52)
+    tiny = RadicalSum({1: p, 2: -q})
+    assert _sign_of(p - 1, -q) == -1
+    assert radicals._key(tiny, bits) > radicals._key(two, bits)
+    for chain, expected in (([wide, two, one], [one, two, wide]),
+                            ([two, one, tiny], [tiny, one, two])):
+        for values in (chain, chain[::-1]):
+            assert sort_values(values) == expected
+            assert sort_values(values, reverse=True) == expected[::-1]
 
 
 def test_compare_gives_zero_only_on_equal_values_and_needs_a_radical_sum():
