@@ -40,11 +40,10 @@ cross-validates the counts at small orders.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graphs import (
     CanonicalKey, CapacityError, Graph, _check_order, _neighbor_lists, canonical_key, canonize_rows,
@@ -55,8 +54,7 @@ DEFAULT_CAP = 12
 ORACLE_CAP = 7
 
 
-@dataclass(frozen=True)
-class EnumLevel:
+class EnumLevel(NamedTuple):
     """All two-trees of one order, as their canonical keys in sorted order."""
 
     order: int
@@ -72,6 +70,7 @@ class EnumLevel:
         return len(self.keys)
 
     def checksum(self) -> str:
+        import hashlib  # here, not at the top: it maps OpenSSL, and only enumerate takes a checksum
         return hashlib.sha256(b"\n".join(self.keys)).hexdigest()
 
 

@@ -27,8 +27,7 @@ never a crash, and a run always completes every requested order first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import formulas
 from .enumeration import DEFAULT_CAP, EnumLevel, enumerate_levels, enumerate_two_trees
@@ -43,8 +42,7 @@ KINDS = ("so", "so-bar")
 DIRECTIONS = ("max", "min")
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
+class ClaimCheck(NamedTuple):
     claim: str
     order: int
     expected_family: str
@@ -55,13 +53,33 @@ class ClaimCheck:
     note: str = ""
 
 
-@dataclass
 class ExtremalReport:
-    order: int
-    kind: str
-    direction: str
-    groups: list[tuple[RadicalSum, list[CanonicalKey]]]  # tie sets in rank order
-    claim_checks: list[ClaimCheck] = field(default_factory=list)
+    """One ranked level: its tie sets in rank order, each an exact value with
+    the keys attaining it, and the claims checked against them.
+
+    Mutable: :func:`attach_claims` appends to ``claim_checks``, a fresh list
+    for each report built without one.
+    """
+
+    __slots__ = ("order", "kind", "direction", "groups", "claim_checks")
+
+    def __init__(self, order: int, kind: str, direction: str,
+                 groups: list[tuple[RadicalSum, list[CanonicalKey]]],
+                 claim_checks: list[ClaimCheck] | None = None):
+        self.order = order
+        self.kind = kind
+        self.direction = direction
+        self.groups = groups
+        self.claim_checks = [] if claim_checks is None else claim_checks
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ExtremalReport:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"ExtremalReport({fields})"
 
     @property
     def passed(self) -> bool:
@@ -271,8 +289,7 @@ def verify_theorems(
     return reports
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One observed extreme: its exact value, the smallest key attaining
     it, that graph's degree sequence and whether it is the linear two-tree."""
 
@@ -282,8 +299,7 @@ class Witness:
     is_linear: bool
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """An observed extreme against one conjectured bound.
 
     ``gap`` is ``observed - conjectured`` in floats, for display; ``holds``
@@ -295,8 +311,7 @@ class BoundCheck:
     holds: bool
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Observed extremes vs the conjectured bounds at one order.
 
     The conjectured index lower bound holds when the exact gap is >= 0, the

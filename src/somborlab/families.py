@@ -19,25 +19,30 @@ lists a row or a recipe step, or draws one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .graphs import Graph, _check_order
 
 
-@dataclass(frozen=True)
-class TwoTreeRecipe:
-    """Ordered edge choices; step ``t`` (1-based) must pick an index below ``2t - 1``."""
-
+# a NamedTuple may not define __new__ itself, so the recipe validates in a subclass
+class _Steps(NamedTuple):
     steps: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        for t, choice in enumerate(self.steps, start=1):
+
+class TwoTreeRecipe(_Steps):
+    """Ordered edge choices; step ``t`` (1-based) must pick an index below ``2t - 1``."""
+
+    __slots__ = ()
+
+    def __new__(cls, steps: Iterable[int]) -> "TwoTreeRecipe":
+        steps = tuple(steps)
+        for t, choice in enumerate(steps, start=1):
             if not 0 <= choice < 2 * t - 1:
                 raise ValueError(
                     f"step {t} picks edge {choice}, but only {2 * t - 1} edges exist"
                 )
-        _check_order(self.order, 2, "recipe order")
+        _check_order(len(steps) + 2, 2, "recipe order")
+        return super().__new__(cls, steps)
 
     @property
     def order(self) -> int:

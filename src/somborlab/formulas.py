@@ -14,8 +14,7 @@ magnitude above it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import _check_order
 from .radicals import RadicalSum, sqrt_int
@@ -109,8 +108,7 @@ def double_gap_anchor() -> float:
 # -- sweeps -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepViolation:
+class SweepViolation(NamedTuple):
     sweep: str
     check: str
     x: float

@@ -20,15 +20,14 @@ tuple.  All sums are exact :class:`~somborlab.radicals.RadicalSum` values.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import Graph
 from .radicals import RadicalSum, _squarefree_split, sqrt_int
 
 
-@dataclass(frozen=True)
-class IndexValue:
+class IndexValue(NamedTuple):
     """An exact index value with its double-precision shadow."""
 
     exact: RadicalSum

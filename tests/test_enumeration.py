@@ -1,4 +1,3 @@
-import dataclasses
 import multiprocessing
 from math import comb, factorial
 
@@ -155,10 +154,10 @@ def test_levels_are_sorted_unique_canonical():
 
 
 def test_a_level_stores_only_its_keys():
-    assert [f.name for f in dataclasses.fields(EnumLevel)] == ["order", "keys"]
+    assert list(EnumLevel._fields) == ["order", "keys"]
     level = enumerate_two_trees(6)
     assert level.count == len(level.keys) == 5
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         level.graphs = ()
 
 

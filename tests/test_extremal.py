@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import tracemalloc
 
 import pytest
@@ -146,8 +146,9 @@ def test_claim_fails_when_its_tie_set_is_not_unique():
 
 def test_rank_layer_keeps_values_and_keys_only():
     assert not hasattr(extremal, "RankedEntry")
-    assert [f.name for f in dataclasses.fields(ExtremalReport)] == [
-        "order", "kind", "direction", "groups", "claim_checks"]
+    fields = ["order", "kind", "direction", "groups", "claim_checks"]
+    assert list(ExtremalReport.__slots__) == fields
+    assert list(inspect.signature(ExtremalReport).parameters) == fields
     level = enumerate_two_trees(9)
     for kind in extremal.KINDS:
         for direction in extremal.DIRECTIONS:
@@ -161,18 +162,25 @@ def test_rank_layer_keeps_values_and_keys_only():
     (report,) = conjecture_report([9])
 
     def leaves(name, value):  # into the witnesses, the bound checks and every tuple
-        if dataclasses.is_dataclass(value):
-            for f in dataclasses.fields(value):
-                yield from leaves(f"{name}.{f.name}", getattr(value, f.name))
+        if hasattr(type(value), "_fields"):
+            for field in value._fields:
+                yield from leaves(f"{name}.{field}", getattr(value, field))
         elif type(value) is tuple:
             for i, item in enumerate(value):
                 yield from leaves(f"{name}[{i}]", item)
         else:
             yield name, value
 
-    for f in dataclasses.fields(ConjectureReport):
-        for name, value in leaves(f.name, getattr(report, f.name)):
+    names = []
+    for field in ConjectureReport._fields:
+        for name, value in leaves(field, getattr(report, field)):
             assert isinstance(value, (int, float, RadicalSum, bytes)), name
+            names.append(name)
+    witness = [".value", ".key", *(f".degrees[{i}]" for i in range(9)), ".is_linear"]
+    check = [".conjectured", ".gap", ".holds"]
+    assert names == ["order", *("min_so" + leaf for leaf in witness),
+                     *("max_coindex" + leaf for leaf in witness), *("so_bound" + leaf for leaf in check),
+                     *(f"coindex_bounds[{i}]" + leaf for i in range(2) for leaf in check)]
     assert type(report.min_so.value) is RadicalSum and report.min_so.key in level.keys
     assert type(report.max_coindex.value) is RadicalSum and report.max_coindex.key in level.keys
 
