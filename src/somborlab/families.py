@@ -44,6 +44,11 @@ class TwoTreeRecipe(_Steps):
         _check_order(len(steps) + 2, 2, "recipe order")
         return super().__new__(cls, steps)
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "TwoTreeRecipe":
+        # _replace (and copy.replace) build through _make, so they validate too
+        return cls(*iterable)
+
     @property
     def order(self) -> int:
         return len(self.steps) + 2

@@ -251,17 +251,6 @@ def _place(run: list[RadicalSum], bits: int, reverse: bool, done: list[RadicalSu
             f"interval refinement failed to separate distinct values ({run[0]!r} vs {run[1]!r})"
         )
     sign = -1 if reverse else 1
-    if len(run) == 2:  # the same test on a pair, without the walk
-        a, b = run
-        error_a, error_b = sum(map(abs, a._terms[1::2])), sum(map(abs, b._terms[1::2]))
-        low_a, low_b = sign * _key(a, bits) - error_a, sign * _key(b, bits) - error_b
-        if low_b > low_a + 2 * error_a:
-            done += a, b
-        elif low_a > low_b + 2 * error_b:
-            done += b, a
-        else:
-            _place(run, 2 * bits, reverse, done)
-        return
     errors = [sum(map(abs, v._terms[1::2])) for v in run]
     lows = [sign * _key(v, bits) - error for v, error in zip(run, errors)]
     group, top = [], -math.inf

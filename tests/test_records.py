@@ -91,6 +91,13 @@ def test_recipe_equality_hash_repr_and_validation():
         TwoTreeRecipe.parse("0,1,-1")
     with pytest.raises(CapacityError, match=r"^recipe order must be in 2\.\.64, got 65$"):
         TwoTreeRecipe((0,) * 63)
+    # the helpers a named tuple brings build through the same validation
+    assert recipe._replace(steps=[0, 1]) == TwoTreeRecipe((0, 1))
+    assert type(recipe._replace(steps=[0, 1]).steps) is tuple
+    with pytest.raises(ValueError, match=r"^step 1 picks edge 5, but only 1 edges exist$"):
+        recipe._replace(steps=(5,))
+    with pytest.raises(ValueError, match=r"^step 1 picks edge 5, but only 1 edges exist$"):
+        TwoTreeRecipe._make([(5,)])
 
 
 def test_extremal_reports_are_mutable_and_never_share_a_claim_list():
