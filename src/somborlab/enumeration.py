@@ -46,8 +46,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .graphs import (
-    CanonicalKey, CapacityError, Graph, _check_order, _neighbor_lists, canonical_key, canonize_rows,
-    graph_of_key, is_two_tree,
+    CanonicalKey, CapacityError, Graph, _check_order, _graph6_rows, _neighbor_lists, canonical_key,
+    canonize_rows, graph_of_key, is_two_tree,
 )
 
 DEFAULT_CAP = 12
@@ -100,7 +100,7 @@ def _expand_rows(parent: CanonicalKey) -> list[CanonicalKey]:
     kept are left to the caller's merge.  A kept child goes to the canonizer
     with its neighbour lists, copied from the parent's.
     """
-    rows = graph_of_key(parent)._rows
+    rows = _graph6_rows(parent)
     n = len(rows)
     nbrs = _neighbor_lists(rows)
     ears = [x for x in range(n) if len(nbrs[x]) == 2]

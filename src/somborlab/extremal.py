@@ -7,7 +7,7 @@ rendered only by the writers, for human consumption.  One pass over a
 level's keys decodes each graph once, to its signature: the sorted degree
 pairs of its edges, which fix both values.  Each signature is evaluated
 once, by the one exact evaluator of :mod:`~somborlab.indices`, which takes
-the coindex as the histogram total minus the index, and the keys are
+the coindex as the all-pairs total minus the index, and the keys are
 grouped by exact value in both directions.  A ranked level is its
 tie sets in rank order, each one exact value kept once with the keys that
 attain it; no per-graph record is built.  Only the distinct values are
@@ -15,8 +15,8 @@ ordered, by :func:`~somborlab.radicals.sort_values`'s certified fixed-point
 keys rather than pairwise exact comparisons.  The evidence reports need only the
 minimum index and the maximum coindex, so they rank nothing: the first
 Zagreb bound ``SO >= M1/sqrt(2)``, which depends only on the degree
-histogram, rules out all but a handful of graphs per order before any is
-evaluated, and one best-first search over the histograms finds both,
+sequence, rules out all but a handful of graphs per order before any is
+evaluated, and one best-first search over the sequences finds both,
 evaluating only the graphs it reaches.
 A report holds the two extremes as witnesses and checks them against the
 index bound and each reading of the coindex bound; each check keeps a float
@@ -32,10 +32,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import formulas
 from .enumeration import DEFAULT_CAP, EnumLevel, enumerate_levels, enumerate_two_trees
 from .families import l_graph, linear_two_tree, x_graph
-from .graphs import CanonicalKey, CapacityError, _graph6_rows, canonical_key, graph_of_key
-from .indices import (
-    Histogram, _signature, _signature_values, degree_histogram, histogram_total,
-)
+from .graphs import CanonicalKey, CapacityError, _degree_sequence, _graph6_rows, canonical_key
+from .indices import _signature, _signature_values, histogram_total
 from .radicals import RadicalSum, sort_values, sqrt_int
 
 KINDS = ("so", "so-bar")
@@ -94,7 +92,7 @@ def _value_groups(level: EnumLevel) -> tuple[Groups, Groups]:
 
     Each key is decoded once, to the sorted degree pairs of its edges, which
     fix both values: the index sums a weight per pair, and the coindex is
-    the all-pairs total of the degree histogram the pairs give, minus the
+    the all-pairs total of the degree sequence the pairs give, minus the
     index.  The keys are grouped by those signatures, and each signature is
     evaluated once.  The normal form of a value is unique, so gathering the
     signatures of one value makes each group one exact tie set.  Level keys
@@ -121,6 +119,7 @@ def _report(n: int, kind: str, direction: str, by_value: Groups) -> ExtremalRepo
 
 
 Extreme = tuple[RadicalSum, CanonicalKey]
+Degrees = tuple[int, ...]  # a degree sequence, descending
 
 
 def _extremes(level: EnumLevel) -> tuple[Extreme, Extreme]:
@@ -131,54 +130,56 @@ def _extremes(level: EnumLevel) -> tuple[Extreme, Extreme]:
     add up to the first Zagreb index ``M1 = sum d(v)^2``, every graph has
     ``SO >= M1/sqrt(2)`` and ``coSO = T - SO <= T - M1/sqrt(2)``, where ``T``
     is the all-pairs total.  Both bounds depend only on the degree
-    histogram, so the keys are bucketed by histogram, each decoded once, and
-    both extremes are found by one search (:func:`_best_first`): the
-    minimum index as the largest ``-SO``, under the doubled bound
-    ``-sqrt(2)*M1``, and the maximum coindex under ``2T - sqrt(2)*M1``.
+    sequence, so each key is decoded once, to its rows, and bucketed by the
+    sequence :func:`~somborlab.graphs._degree_sequence` reads from them, with
+    no :class:`~somborlab.graphs.Graph` built.  Both extremes are found by
+    one search (:func:`_best_first`): the minimum index as the largest
+    ``-SO``, under the doubled bound ``-sqrt(2)*M1``, and the maximum
+    coindex under ``2T - sqrt(2)*M1``.
     The bounds are doubled to keep their coefficients integral, and every
     bound and stop test is an exact comparison.  A visited key is decoded
     again to its degree-pair signature, which is evaluated for its index and
     coindex together, as in :func:`_value_groups`.
     """
-    buckets: dict[Histogram, list[CanonicalKey]] = {}
+    buckets: dict[Degrees, list[CanonicalKey]] = {}
     for key in level.keys:
-        buckets.setdefault(degree_histogram(graph_of_key(key)), []).append(key)
+        buckets.setdefault(_degree_sequence(_graph6_rows(key)), []).append(key)
     root2 = sqrt_int(2)
-    # sqrt(2)*M1 per histogram
-    zagreb = {hist: root2 * sum(d * d * count for d, count in hist) for hist in buckets}
+    # sqrt(2)*M1 per degree sequence
+    zagreb = {degrees: root2 * sum(d * d for d in degrees) for degrees in buckets}
 
     def evaluate(key: CanonicalKey) -> tuple[RadicalSum, RadicalSum]:
         return _signature_values(_signature(_graph6_rows(key)))
 
-    neg_so, min_key = _best_first(buckets, lambda hist: -zagreb[hist], lambda k: -evaluate(k)[0])
-    max_co = _best_first(
-        buckets, lambda hist: 2 * histogram_total(hist) - zagreb[hist], lambda k: evaluate(k)[1]
-    )
+    neg_so, min_key = _best_first(buckets, lambda degrees: -zagreb[degrees],
+                                  lambda k: -evaluate(k)[0])
+    max_co = _best_first(buckets, lambda degrees: 2 * histogram_total(degrees) - zagreb[degrees],
+                         lambda k: evaluate(k)[1])
     return (-neg_so, min_key), max_co
 
 
 def _best_first(
-    buckets: dict[Histogram, list[CanonicalKey]],
-    bound: Callable[[Histogram], RadicalSum],
+    buckets: dict[Degrees, list[CanonicalKey]],
+    bound: Callable[[Degrees], RadicalSum],
     value: Callable[[CanonicalKey], RadicalSum],
 ) -> Extreme:
     """Largest ``value(key)`` over the buckets, with its smallest key,
-    where ``bound(hist)`` is at least twice every value in bucket ``hist``.
+    where ``bound(degrees)`` is at least twice every value in bucket ``degrees``.
 
     Buckets are visited by descending bound and evaluated whole, and the
     visit stops at the first bound strictly below twice the best value
     found: no graph left can reach that value, so not even a tie with a
     smaller key is lost.
     """
-    by_bound: dict[RadicalSum, list[Histogram]] = {}
-    for hist in buckets:
-        by_bound.setdefault(bound(hist), []).append(hist)
+    by_bound: dict[RadicalSum, list[Degrees]] = {}
+    for degrees in buckets:
+        by_bound.setdefault(bound(degrees), []).append(degrees)
     best = best_key = None
     for limit in sort_values(by_bound, reverse=True):
         if best is not None and limit < 2 * best:
             break
-        for hist in by_bound[limit]:
-            for key in buckets[hist]:  # keys ascend only within a bucket: a tie keeps the smaller
+        for degrees in by_bound[limit]:
+            for key in buckets[degrees]:  # keys ascend only within a bucket: a tie keeps the smaller
                 v = value(key)
                 if best is None or v > best or (v == best and key < best_key):
                     best, best_key = v, key
@@ -346,7 +347,7 @@ def conjecture_report(
     """Exhaustive minimum index / maximum coindex evidence per order.
 
     Each order is enumerated in full, but only the graphs whose degree
-    histogram can still reach an extreme are evaluated (see
+    sequence can still reach an extreme are evaluated (see
     :func:`_extremes`); the witnesses are the smallest keys attaining the
     exact extremes, the same as in a full ranking.
     """
@@ -359,7 +360,7 @@ def conjecture_report(
         linear_key = canonical_key(linear_two_tree(n))
 
         def witness(value: RadicalSum, key: CanonicalKey) -> Witness:
-            return Witness(value, key, graph_of_key(key).degree_sequence(), key == linear_key)
+            return Witness(value, key, _degree_sequence(_graph6_rows(key)), key == linear_key)
 
         (min_so, min_so_key), (max_co, max_co_key) = _extremes(level)
         out.append(ConjectureReport(

@@ -91,8 +91,8 @@ class Graph:
         return [row.bit_count() for row in self._rows]
 
     def degree_sequence(self) -> tuple[int, ...]:
-        """Degree multiset, sorted descending."""
-        return tuple(sorted(self.degrees(), reverse=True))
+        """Degree multiset, sorted descending (:func:`_degree_sequence`)."""
+        return _degree_sequence(self._rows)
 
     def neighbors(self, v: int) -> Iterator[int]:
         self._check_vertex(v)
@@ -137,6 +137,12 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, edges={self.edges()!r})"
+
+
+def _degree_sequence(rows: list[int]) -> tuple[int, ...]:
+    """The degrees of adjacency ``rows``, sorted descending: the package's one
+    degree format, read from rows without building a :class:`Graph`."""
+    return tuple(sorted(map(int.bit_count, rows), reverse=True))
 
 
 def _bits(x: int) -> Iterator[int]:

@@ -10,7 +10,7 @@ weighs ``d``; each weight is one term ``m*sqrt(s)`` with ``s`` squarefree,
 so a count of pairs scales ``m``, and a pair counted zero times drops out of
 the sum.  The index counts the pairs of the edges (:func:`_signature`);
 the all-pairs total counts the pairs of every vertex pair, which the degree
-histogram gives, so it is computed once per histogram; and since edges and
+sequence gives, so it is computed once per sequence; and since edges and
 non-edges partition the vertex pairs, the coindex is the total minus the
 index.  No pair walk happens anywhere.  Signatures share their pair
 tuples, one per distinct degree pair, so a ranked level holds no per-edge
@@ -102,8 +102,8 @@ def _signature_values(signature: tuple[tuple[int, int], ...]) -> tuple[RadicalSu
     """The exact index and coindex shared by every graph without isolated
     vertices whose edge degree pairs are ``signature`` (see :func:`_signature`).
 
-    A vertex of degree ``d`` ends ``d`` edges, so the pairs also give the
-    degree histogram, and with it the all-pairs total.
+    A vertex of degree ``d`` ends ``d`` edges, so the pairs' degree ends
+    also give the degree sequence, and with it the all-pairs total.
     """
     pairs = Counter(signature)
     ends: dict[int, int] = {}
@@ -111,8 +111,8 @@ def _signature_values(signature: tuple[tuple[int, int], ...]) -> tuple[RadicalSu
         ends[a] = ends.get(a, 0) + count
         ends[b] = ends.get(b, 0) + count
     so = _weighted_total(pairs)
-    hist = tuple([(d, count // d) for d, count in sorted(ends.items())])
-    return so, histogram_total(hist) - so
+    degrees = tuple(d for d in sorted(ends, reverse=True) for _ in range(ends[d] // d))
+    return so, histogram_total(degrees) - so
 
 
 def sombor_coindex(g: Graph) -> IndexValue:
@@ -121,21 +121,15 @@ def sombor_coindex(g: Graph) -> IndexValue:
 
 def total_pair_sum(g: Graph) -> IndexValue:
     """Weight summed over all vertex pairs; equals index + coindex exactly."""
-    return IndexValue(histogram_total(degree_histogram(g)))
-
-
-Histogram = tuple[tuple[int, int], ...]
-
-
-def degree_histogram(g: Graph) -> Histogram:
-    """The ``(degree, count)`` pairs of ``g``, by ascending degree."""
-    degrees = g.degrees()
-    return tuple([(d, degrees.count(d)) for d in sorted(set(degrees))])
+    return IndexValue(histogram_total(g.degree_sequence()))
 
 
 @lru_cache(maxsize=None)
-def histogram_total(hist: Histogram) -> RadicalSum:
-    """Weight summed over all vertex pairs of any graph with degree histogram ``hist``."""
+def histogram_total(degrees: tuple[int, ...]) -> RadicalSum:
+    """Weight summed over all vertex pairs of any graph with degree sequence
+    ``degrees`` (descending, as :func:`~somborlab.graphs._degree_sequence`
+    gives it), from the count of each degree, once per sequence."""
+    hist = sorted(Counter(degrees).items())
     pairs = {}
     for i, (a, ha) in enumerate(hist):
         pairs[a, a] = ha * (ha - 1) // 2

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from somborlab import extremal, formulas, indices, radicals
-from somborlab.enumeration import EnumLevel, enumerate_levels, enumerate_two_trees
+from somborlab.enumeration import EnumLevel, _expand_rows, enumerate_levels, enumerate_two_trees
 from somborlab.extremal import (
     ConjectureReport,
     ExtremalReport,
@@ -15,7 +15,7 @@ from somborlab.extremal import (
 )
 from somborlab.families import l_graph, linear_two_tree, x_graph
 from somborlab.graph6 import from_graph6
-from somborlab.graphs import CapacityError, canonical_key
+from somborlab.graphs import CapacityError, _degree_sequence, _graph6_rows, canonical_key
 from somborlab.radicals import RadicalSum, sqrt_int
 
 
@@ -282,22 +282,16 @@ def test_one_index_evaluation_per_graph(monkeypatch):
     evaluations = []
     real_decode = extremal._graph6_rows
     real_values = extremal._signature_values
-    real_graph = extremal.graph_of_key
 
     def counted_decode(key):
         decoded.append(key)
         return real_decode(key)
-
-    def counted_graph(key):
-        decoded.append(key)
-        return real_graph(key)
 
     def counted_values(signature):
         evaluations.append(signature)
         return real_values(signature)
 
     monkeypatch.setattr(extremal, "_graph6_rows", counted_decode)
-    monkeypatch.setattr(extremal, "graph_of_key", counted_graph)
     monkeypatch.setattr(extremal, "_signature_values", counted_values)
     verify_theorems([5, 7, 9])
     # each graph is decoded once, and each distinct degree-pair signature
@@ -306,11 +300,17 @@ def test_one_index_evaluation_per_graph(monkeypatch):
     signatures = {n: _degree_pair_signatures(levels[n]) for n in (5, 7, 9)}
     assert len(evaluations) == len(set(evaluations)) == sum(map(len, signatures.values()))
     assert sum(len(s) == 2 * 9 - 3 for s in evaluations) == len(signatures[9]) < counts[9]
+    decoded.clear()
     evaluations.clear()
     # conjecture evaluates only what its bound cannot rule out, once per
     # visited key: 3, 2 and 4 keys at orders 6, 8 and 9
     conjecture_report([6, 8, 9])
     assert len(evaluations) == 9 < counts[6] + counts[8] + counts[9]
+    # and reads every degree from rows: each key is decoded once for its
+    # bucket, each visited key once more, and each order's two witnesses
+    assert len(decoded) == counts[6] + counts[8] + counts[9] + 9 + 2 * 3
+    assert set(decoded) == set(levels[6].keys + levels[8].keys + levels[9].keys)
+    assert not hasattr(extremal, "graph_of_key")
 
 
 def test_bound_verdicts_are_exact_at_equality(monkeypatch):
@@ -346,6 +346,46 @@ def test_zagreb_bounds_hold_exactly_with_equality_only_on_equal_degree_edges():
             equal_degrees = all(degrees[u] == degrees[v] for u, v in g.edges())
             assert (2 * so == zagreb) == equal_degrees == (level.order == 3)
             assert (2 * co == 2 * total - zagreb) == equal_degrees
+
+
+def _phi(a: int, b: int) -> RadicalSum:
+    # the most that growing an ear on an edge with end degrees a, b adds to SO
+    return a + b - 2 + sqrt_int(2) + sqrt_int((a + 1) ** 2 + 4) + sqrt_int((b + 1) ** 2 + 4)
+
+
+def test_descendant_bounds_hold_on_every_chain_of_kept_children():
+    # for each two-tree G of order K and each descendant H of order N along a
+    # chain of kept children, with d1 >= d2 the two largest degrees of G:
+    #   SO(H) <= SO(G) + sum_{s<N-K} phi(d1 + s, d2 + s)
+    #   2*coSO(H) >= ((N-1)(4N-6) - M1(G) - sum_{s<N-K} (2(d1 + d2 + 2s) + 6))*sqrt(2)
+    root2 = sqrt_int(2)
+    values = {}
+
+    def evaluate(key):
+        if key not in values:
+            values[key] = indices._signature_values(indices._signature(_graph6_rows(key)))
+        return values[key]
+
+    pairs = 0
+    for level in enumerate_levels(8):
+        if level.order < 3:
+            continue
+        for key in level.keys:
+            degrees = _degree_sequence(_graph6_rows(key))
+            d1, d2 = degrees[:2]
+            so_bound = evaluate(key)[0]
+            m1 = sum(d * d for d in degrees)
+            descendants = {key}
+            for s, n in enumerate(range(level.order + 1, 10)):
+                so_bound += _phi(d1 + s, d2 + s)
+                m1 += 2 * (d1 + d2 + 2 * s) + 6
+                descendants = {child for parent in descendants for child in _expand_rows(parent)}
+                for child in descendants:
+                    so, co = evaluate(child)
+                    assert so <= so_bound
+                    assert 2 * co >= ((n - 1) * (4 * n - 6) - m1) * root2
+                    pairs += 1
+    assert pairs == 1100
 
 
 def test_extremes_equal_the_ends_of_the_full_ranking():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from somborlab.families import (
-    TwoTreeRecipe, complete, from_recipe, l_graph, random_recipe, x_graph,
+    TwoTreeRecipe, complete, complete_bipartite, from_recipe, l_graph, random_recipe, x_graph,
 )
 from somborlab.graph6 import from_graph6
 from somborlab.graphs import Graph
@@ -38,8 +38,7 @@ def test_star_with_a_hub_of_degree_64():
     rows = [((1 << 64) - 1) << 1] + [1] * 64
     signature = _signature(rows)
     assert signature == ((1, 64),) * 64
-    total = 2016 * sqrt_int(2) + 64 * sqrt_int(4097)  # C(64, 2) leaf pairs, 64 edges
-    assert histogram_total(((1, 64), (64, 1))) == total
+    # the coindex is C(64, 2) leaf pairs of weight sqrt(2)
     assert _signature_values(signature) == (64 * sqrt_int(4097), 2016 * sqrt_int(2))
 
 
@@ -89,6 +88,28 @@ def test_float_shadow_agrees_with_direct_walk():
         assert value.approx == pytest.approx(direct, rel=1e-12)
         # the index counts degree-pair codes; the edge walk is its reference
         assert value.exact == _pair_walk(g, g.edges())
+
+
+def _all_pairs_brute_force(g) -> RadicalSum:
+    # every vertex pair's weight summed: (0, d) weighs d and (0, 0) weighs 0
+    degs = g.degrees()
+    total = RadicalSum.zero()
+    for u, v in itertools.combinations(range(g.order), 2):
+        x, y = degs[u], degs[v]
+        total += sqrt_int(x * x + y * y) if x or y else RadicalSum.zero()
+    return total
+
+
+def test_all_pairs_total_reads_the_degree_sequence():
+    rng = random.Random(43)
+    sparse = [(u, v) for u, v in itertools.combinations(range(9), 2) if rng.random() < 0.4]
+    graphs = [Graph.from_edges(12, sparse), complete_bipartite(1, 63)]
+    assert graphs[0].degree_sequence()[-3:] == (0, 0, 0)  # (0, 0) and (0, d) pairs
+    graphs += [from_recipe(random_recipe(rng.randrange(13, 65), rng)) for _ in range(50)]
+    for g in graphs:
+        total = _all_pairs_brute_force(g)
+        assert total_pair_sum(g).exact == total
+        assert histogram_total(g.degree_sequence()) == total
 
 
 def test_coindex_of_complete_graphs_is_zero():
